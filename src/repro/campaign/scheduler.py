@@ -162,6 +162,11 @@ def _worker_loop(
                     time.sleep(0.1)
                 os._exit(1)  # pragma: no cover - supervisor kills us first
             if faults.kill_point(unit.id, attempt) == "start":
+                # Flush the heartbeat first: a SIGKILL while the feeder
+                # thread holds the result queue's cross-process write
+                # lock would leak it and stall every other worker.
+                result_q.close()
+                result_q.join_thread()
                 os.kill(os.getpid(), signal.SIGKILL)
         try:
             payload = execute_unit(unit, scenario, seed, deps, profile)

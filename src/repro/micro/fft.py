@@ -14,6 +14,8 @@ is validated against ``numpy.fft`` in the test suite.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..core.registry import register
@@ -28,6 +30,7 @@ __all__ = [
     "fft2",
     "ifft2",
     "Fft",
+    "check_fft_numerics",
     "FFT_1D_SIZES",
     "FFT_2D_SIZE",
 ]
@@ -120,6 +123,29 @@ def ifft2(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(ifft(np.swapaxes(rows, -1, -2)), -1, -2)
 
 
+@functools.cache
+def check_fft_numerics(ndim: int, backward: bool, functional_n: int) -> None:
+    """Run our FFT stack at reduced size and compare it with ``numpy.fft``.
+
+    Pure in its arguments (seeded input), so memoised like
+    :func:`~repro.micro.gemm.check_gemm_numerics`: once per process per
+    variant, and a divergence raises on every call because
+    ``functools.cache`` never stores a raised exception.
+    """
+    rng = np.random.default_rng(7)
+    fn = functional_n
+    if ndim == 1:
+        x = rng.standard_normal(fn) + 1j * rng.standard_normal(fn)
+        ours = ifft(x) if backward else fft(x)
+        ref = np.fft.ifft(x) if backward else np.fft.fft(x)
+    else:
+        x = rng.standard_normal((fn, fn)) + 1j * rng.standard_normal((fn, fn))
+        ours = ifft2(x) if backward else fft2(x)
+        ref = np.fft.ifft2(x) if backward else np.fft.fft2(x)
+    if not np.allclose(ours, ref, rtol=1e-8, atol=1e-8):
+        raise AssertionError("FFT numerics diverged")
+
+
 @register(
     name="fft",
     category="micro",
@@ -147,18 +173,7 @@ class Fft(MicroBenchmark):
         return {"ndim": self.ndim, "n": self.n, "backward": self.backward}
 
     def _functional_check(self) -> None:
-        rng = np.random.default_rng(7)
-        fn = self.functional_n
-        if self.ndim == 1:
-            x = rng.standard_normal(fn) + 1j * rng.standard_normal(fn)
-            ours = ifft(x) if self.backward else fft(x)
-            ref = np.fft.ifft(x) if self.backward else np.fft.fft(x)
-        else:
-            x = rng.standard_normal((fn, fn)) + 1j * rng.standard_normal((fn, fn))
-            ours = ifft2(x) if self.backward else fft2(x)
-            ref = np.fft.ifft2(x) if self.backward else np.fft.fft2(x)
-        if not np.allclose(ours, ref, rtol=1e-8, atol=1e-8):
-            raise AssertionError("FFT numerics diverged")
+        check_fft_numerics(self.ndim, self.backward, self.functional_n)
 
     def _measure_once(
         self, engine: PerfEngine, n_stacks: int, rep: int

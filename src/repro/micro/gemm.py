@@ -15,6 +15,8 @@ paper highlights.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..core.registry import register
@@ -27,6 +29,7 @@ from .common import MicroBenchmark
 __all__ = [
     "Gemm",
     "blocked_gemm",
+    "check_gemm_numerics",
     "quantize_bf16",
     "quantize_tf32",
     "GEMM_PRECISIONS",
@@ -103,6 +106,46 @@ def blocked_gemm(
     return out
 
 
+@functools.cache
+def check_gemm_numerics(precision: Precision, functional_n: int) -> None:
+    """Run the reduced-size blocked GEMM and compare it with ``A @ B``.
+
+    The check is a pure function of its arguments (the operands come
+    from a fixed seed), so it is memoised: each (precision, size) pair
+    runs once per process however many repetitions ask for it.  A
+    diverging check raises, and ``functools.cache`` never stores a
+    raised exception, so a broken kernel fails every repetition.
+    """
+    rng = np.random.default_rng(42)
+    fn = functional_n
+    if precision.is_integer:
+        a = rng.integers(-4, 5, size=(fn, fn), dtype=np.int8)
+        b = rng.integers(-4, 5, size=(fn, fn), dtype=np.int8)
+        c = blocked_gemm(a, b, block=32)
+        ref = a.astype(np.int32) @ b.astype(np.int32)
+        if not np.array_equal(c, ref):
+            raise AssertionError("I8 GEMM numerics diverged")
+        return
+    dtype = precision.numpy_dtype
+    a = rng.standard_normal((fn, fn)).astype(dtype)
+    b = rng.standard_normal((fn, fn)).astype(dtype)
+    # The matrix engines ingest reduced-mantissa operands: apply the
+    # real BF16/TF32 rounding before multiplying.
+    if precision is Precision.BF16:
+        a, b = quantize_bf16(a), quantize_bf16(b)
+    elif precision is Precision.TF32:
+        a, b = quantize_tf32(a), quantize_tf32(b)
+    c = blocked_gemm(a, b, block=32)
+    rtol = 1e-2 if dtype == np.float16 else 1e-5
+    if not np.allclose(
+        c.astype(np.float64),
+        a.astype(np.float64) @ b.astype(np.float64),
+        rtol=rtol,
+        atol=1e-2,
+    ):
+        raise AssertionError("GEMM numerics diverged")
+
+
 @register(
     name="gemm",
     category="micro",
@@ -126,34 +169,7 @@ class Gemm(MicroBenchmark):
         return {"precision": self.precision.label, "n": self.n}
 
     def _functional_check(self) -> None:
-        rng = np.random.default_rng(42)
-        fn = self.functional_n
-        if self.precision.is_integer:
-            a = rng.integers(-4, 5, size=(fn, fn), dtype=np.int8)
-            b = rng.integers(-4, 5, size=(fn, fn), dtype=np.int8)
-            c = blocked_gemm(a, b, block=32)
-            ref = a.astype(np.int32) @ b.astype(np.int32)
-            if not np.array_equal(c, ref):
-                raise AssertionError("I8 GEMM numerics diverged")
-            return
-        dtype = self.precision.numpy_dtype
-        a = rng.standard_normal((fn, fn)).astype(dtype)
-        b = rng.standard_normal((fn, fn)).astype(dtype)
-        # The matrix engines ingest reduced-mantissa operands: apply the
-        # real BF16/TF32 rounding before multiplying.
-        if self.precision is Precision.BF16:
-            a, b = quantize_bf16(a), quantize_bf16(b)
-        elif self.precision is Precision.TF32:
-            a, b = quantize_tf32(a), quantize_tf32(b)
-        c = blocked_gemm(a, b, block=32)
-        rtol = 1e-2 if dtype == np.float16 else 1e-5
-        if not np.allclose(
-            c.astype(np.float64),
-            a.astype(np.float64) @ b.astype(np.float64),
-            rtol=rtol,
-            atol=1e-2,
-        ):
-            raise AssertionError("GEMM numerics diverged")
+        check_gemm_numerics(self.precision, self.functional_n)
 
     def _measure_once(
         self, engine: PerfEngine, n_stacks: int, rep: int

@@ -148,6 +148,8 @@ class Lats(MicroBenchmark):
         self, engine: PerfEngine, n_stacks: int, rep: int
     ) -> Measurement:
         # Functional chase on a small chain (proves the harness logic).
+        # Not memoised: the chain is seeded by ``rep``, so every
+        # repetition checks a different permutation.
         chain = build_chain(self.functional_slots, seed=rep)
         if self.coalesced:
             idx = chase_coalesced(chain, self.functional_slots)

@@ -88,6 +88,8 @@ class PcieBandwidth(MicroBenchmark):
         host = queue.malloc_host(payload)
         dev = queue.malloc_device(payload)
         host.buffer[:8] = np.arange(8, dtype=np.uint8)
+        # Not memoised: each check reads the bytes this repetition's
+        # memcpy just moved.
         if self.direction == "h2d":
             ev = queue.memcpy(dev, host, timed_nbytes=self.nbytes)
             moved = float(self.nbytes)

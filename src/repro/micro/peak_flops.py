@@ -13,6 +13,8 @@ including the FP64 TDP downclock.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..core.registry import register
@@ -22,7 +24,12 @@ from ..sim.engine import PerfEngine
 from ..sim.kernel import fma_chain_kernel
 from .common import MicroBenchmark
 
-__all__ = ["PeakFlops", "fma_chain", "fma_chain_reference"]
+__all__ = [
+    "PeakFlops",
+    "check_fma_numerics",
+    "fma_chain",
+    "fma_chain_reference",
+]
 
 #: Section IV-A.1: each kernel performs 16 x 128 FMA operations.
 CHAIN_LENGTH = 16 * 128
@@ -54,6 +61,28 @@ def fma_chain_reference(
     return an * np.asarray(x0) + b * (an - 1.0) / (a - 1.0)
 
 
+@functools.cache
+def check_fma_numerics(
+    precision: Precision, lanes: int, functional_chain: int
+) -> None:
+    """Run a shortened FMA chain and check it against the closed form.
+
+    Pure in its arguments, so memoised: once per process per
+    (precision, lanes, chain).  A divergence raises on every call
+    (``functools.cache`` never stores a raised exception).  Integer
+    precisions have no FMA chain to check.
+    """
+    if precision.is_integer:
+        return
+    dtype = precision.numpy_dtype
+    x0 = np.linspace(0.0, 1.0, lanes, dtype=dtype)
+    a = dtype.type(0.99) if hasattr(dtype, "type") else 0.99
+    out = fma_chain(x0, float(a), 0.5, functional_chain)
+    ref = fma_chain_reference(x0, float(a), 0.5, functional_chain)
+    if not np.allclose(out, ref, rtol=1e-3):
+        raise AssertionError("FMA chain numerics diverged")
+
+
 @register(
     name="peak_flops",
     category="micro",
@@ -80,14 +109,7 @@ class PeakFlops(MicroBenchmark):
         self, engine: PerfEngine, n_stacks: int, rep: int
     ) -> Measurement:
         # Functional leg: actually run (a shortened) chain and check it.
-        dtype = self.precision.numpy_dtype
-        if not self.precision.is_integer:
-            x0 = np.linspace(0.0, 1.0, self.lanes, dtype=dtype)
-            a = dtype.type(0.99) if hasattr(dtype, "type") else 0.99
-            out = fma_chain(x0, float(a), 0.5, self.functional_chain)
-            ref = fma_chain_reference(x0, float(a), 0.5, self.functional_chain)
-            if not np.allclose(out, ref, rtol=1e-3):
-                raise AssertionError("FMA chain numerics diverged")
+        check_fma_numerics(self.precision, self.lanes, self.functional_chain)
 
         # Timed leg: a device-filling chain through the engine.  The rate
         # implied by (work / elapsed) is exactly the engine's achieved

@@ -12,6 +12,8 @@ the device model so non-PVC devices get the equivalent sizing.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..core.registry import register
@@ -23,6 +25,7 @@ from .common import MicroBenchmark
 __all__ = [
     "Triad",
     "triad",
+    "check_triad_numerics",
     "stream_copy",
     "stream_scale",
     "stream_add",
@@ -97,6 +100,21 @@ STREAM_BYTES_PER_ELEMENT = {
 }
 
 
+@functools.cache
+def check_triad_numerics(functional_elements: int) -> None:
+    """Run the triad kernel at reduced size and check every element.
+
+    Pure in its argument, so memoised: once per process per size.  A
+    divergence raises on every call (``functools.cache`` never stores a
+    raised exception).
+    """
+    b = np.linspace(0.0, 1.0, functional_elements)
+    c = np.linspace(1.0, 2.0, functional_elements)
+    a = triad(b, c, 3.0)
+    if not np.allclose(a, b + 3.0 * c):
+        raise AssertionError("triad numerics diverged")
+
+
 @register(
     name="triad",
     category="micro",
@@ -116,11 +134,7 @@ class Triad(MicroBenchmark):
         self, engine: PerfEngine, n_stacks: int, rep: int
     ) -> Measurement:
         # Functional leg at reduced size.
-        b = np.linspace(0.0, 1.0, self.functional_elements)
-        c = np.linspace(1.0, 2.0, self.functional_elements)
-        a = triad(b, c, 3.0)
-        if not np.allclose(a, b + 3.0 * c):
-            raise AssertionError("triad numerics diverged")
+        check_triad_numerics(self.functional_elements)
 
         # Timed leg at paper scale.
         spec = triad_kernel(triad_array_bytes(engine))

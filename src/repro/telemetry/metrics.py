@@ -43,10 +43,24 @@ _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 LabelSet = tuple[tuple[str, str], ...]
 
 
+#: Label names that already passed ``_LABEL_RE``.  Validity is a
+#: property of the string alone, so sharing the set across registries
+#: changes no outcome: each name is matched once per process, and a bad
+#: name is never added and raises on every use.
+_valid_labels: set[str] = set()
+
+
 def _labelset(labels: dict[str, object]) -> LabelSet:
-    for key in labels:
-        if not _LABEL_RE.match(key):
-            raise ValueError(f"bad label name {key!r}")
+    if not labels:
+        return ()
+    if not _valid_labels.issuperset(labels):
+        for key in labels:
+            if not _LABEL_RE.match(key):
+                raise ValueError(f"bad label name {key!r}")
+        _valid_labels.update(labels)
+    if len(labels) == 1:
+        ((key, value),) = labels.items()
+        return ((key, str(value)),)
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
@@ -82,9 +96,11 @@ class Counter:
     kind = "counter"
 
     def inc(self, value: float = 1.0, **labels) -> None:
+        self._update(_labelset(labels), value)
+
+    def _update(self, key: LabelSet, value: float) -> None:
         if value < 0:
             raise ValueError(f"{self.name}: counters cannot decrease")
-        key = _labelset(labels)
         self._values[key] = self._values.get(key, 0.0) + value
 
     def value(self, **labels) -> float:
@@ -124,7 +140,10 @@ class Gauge:
     kind = "gauge"
 
     def set(self, value: float, **labels) -> None:
-        self._values[_labelset(labels)] = float(value)
+        self._update(_labelset(labels), value)
+
+    def _update(self, key: LabelSet, value: float) -> None:
+        self._values[key] = float(value)
 
     def add(self, value: float, **labels) -> None:
         key = _labelset(labels)
@@ -162,7 +181,9 @@ class Histogram:
             raise ValueError(f"{self.name}: need at least one bucket")
 
     def observe(self, value: float, **labels) -> None:
-        key = _labelset(labels)
+        self._update(_labelset(labels), value)
+
+    def _update(self, key: LabelSet, value: float) -> None:
         state = self._states.get(key)
         if state is None:
             state = self._states[key] = _HistogramState(
@@ -267,26 +288,29 @@ class MetricsRegistry:
 
     # -- declaration ------------------------------------------------------
 
-    def _get_or_create(self, name: str, factory, kind: str):
-        if not _NAME_RE.match(name):
-            raise ValueError(f"bad metric name {name!r}")
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = self._metrics[name] = factory()
-            elif metric.kind != kind:
-                raise ValueError(
-                    f"metric {name!r} already registered as {metric.kind}"
-                )
-            return metric
+    def _get_or_create(self, name: str, cls, *args):
+        # An existing metric needs neither the name regex nor the lock
+        # (a dict read is atomic).  Creation takes the lock and
+        # re-checks, so racing creators agree on one metric.
+        metric = self._metrics.get(name)
+        if metric is None:
+            if not _NAME_RE.match(name):
+                raise ValueError(f"bad metric name {name!r}")
+            with self._lock:
+                metric = self._metrics.get(name)
+                if metric is None:
+                    metric = self._metrics[name] = cls(name, *args)
+        if metric.kind != cls.kind:
+            raise ValueError(
+                f"metric {name!r} already registered as {metric.kind}"
+            )
+        return metric
 
     def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(
-            name, lambda: Counter(name, help), "counter"
-        )
+        return self._get_or_create(name, Counter, help)
 
     def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(name, lambda: Gauge(name, help), "gauge")
+        return self._get_or_create(name, Gauge, help)
 
     def histogram(
         self,
@@ -294,26 +318,30 @@ class MetricsRegistry:
         help: str = "",
         buckets: tuple[float, ...] = DEFAULT_BUCKETS,
     ) -> Histogram:
-        return self._get_or_create(
-            name, lambda: Histogram(name, help, buckets), "histogram"
-        )
+        return self._get_or_create(name, Histogram, help, buckets)
 
     # -- convenience -------------------------------------------------------
 
+    # One lock round-trip per update (MPI rank threads and service
+    # executors update concurrently); the label key is built outside it.
+
     def inc(self, name: str, value: float = 1.0, **labels) -> None:
-        counter = self.counter(name)
-        with self._lock:  # MPI rank threads increment concurrently
-            counter.inc(value, **labels)
+        counter = self._get_or_create(name, Counter)
+        key = _labelset(labels)
+        with self._lock:
+            counter._update(key, value)
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
-        gauge = self.gauge(name)
+        gauge = self._get_or_create(name, Gauge)
+        key = _labelset(labels)
         with self._lock:
-            gauge.set(value, **labels)
+            gauge._update(key, value)
 
     def observe(self, name: str, value: float, **labels) -> None:
-        histogram = self.histogram(name)
+        histogram = self._get_or_create(name, Histogram)
+        key = _labelset(labels)
         with self._lock:
-            histogram.observe(value, **labels)
+            histogram._update(key, value)
 
     def value(self, name: str, **labels) -> float:
         """Current value of a counter/gauge (0.0 when never touched)."""
