@@ -33,7 +33,7 @@ contract; only poison-unit quarantine and degraded mode leave a
 (deterministic) trace.
 """
 
-from .journal import Journal, JournalRecord
+from .journal import Journal
 from .orchestrator import Orchestrator
 from .scheduler import DagScheduler, resolve_jobs, scheduler_selfcheck
 from .spec import SPEC_NAMES, CampaignSpec, CampaignUnit, get_spec
@@ -46,7 +46,6 @@ __all__ = [
     "DEFAULT_MAX_RESPAWNS",
     "DagScheduler",
     "Journal",
-    "JournalRecord",
     "Orchestrator",
     "ResultStore",
     "SPEC_NAMES",

@@ -17,16 +17,19 @@ Two append-only streams live next to the campaign journal:
 
 Every record is one JSON object per line with ``v`` (schema version)
 and ``type``; :func:`validate_event` checks a record against the typed
-schema and is what the CI smoke job runs over the whole stream.
-Readers tolerate a torn last line (the writer appends without an
-atomic rename), mirroring the journal's torn-tail recovery.
+schema and is what the CI smoke job runs over the whole stream.  Both
+streams are flushed (not fsynced) :class:`~repro.ioutils.SealedLog`
+files with :func:`validate_event` as their schema hook — the journal's
+format and torn-tail recovery: a reader keeps the longest intact
+prefix, and the next append cuts a torn tail off first.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
+
+from ..ioutils import SealedLog
 
 __all__ = [
     "DETERMINISTIC_EVENTS",
@@ -147,31 +150,19 @@ def validate_event(record: object) -> str:
     return etype
 
 
+def _event_log(path: str | os.PathLike) -> SealedLog:
+    return SealedLog(path, durable=False, schema=validate_event)
+
+
 def read_events(path: str | os.PathLike) -> list[dict]:
-    """Decode an NDJSON event stream, tolerating a torn last line.
+    """Decode an NDJSON event stream: its longest intact prefix.
 
     A missing file reads as an empty stream (older run directories have
     no event streams; a watch attached before the first commit sees no
-    events yet).  Any undecodable line ends the trusted prefix.
+    events yet).  A torn, undecodable or schema-invalid line ends the
+    trusted prefix.
     """
-    path = os.fspath(path)
-    if not os.path.exists(path):
-        return []
-    records: list[dict] = []
-    # errors="replace": undecodable bytes (a torn multi-byte character,
-    # foreign garbage) become U+FFFD, fail json.loads, and end the
-    # trusted prefix instead of raising out of the reader.
-    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or not raw.endswith("\n"):
-                break
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError:
-                break
-            records.append(doc)
-    return records
+    return _event_log(path).read().records
 
 
 class EventBus:
@@ -179,12 +170,12 @@ class EventBus:
 
     Files are created lazily on first emit, so read-only consumers
     (``status``, ``verify``, ``watch``) can construct a bus without
-    touching the directory.  Appends are buffered line writes with an
-    explicit flush — a concurrent watcher sees whole lines promptly,
-    and a crash can tear at most the last line, which every reader
-    tolerates.  On construction over an existing stream the sequence
-    counter resumes after the last trusted record, so a resumed
-    campaign extends the stream exactly like the journal.
+    touching the directory.  Each append is one flushed line write — a
+    concurrent watcher sees whole lines promptly, and a crash can tear
+    at most the last line, which every reader drops and the next
+    append cuts off.  On construction over an existing stream the
+    sequence counter resumes after the last trusted record, so a
+    resumed campaign extends the stream exactly like the journal.
 
     ``live_context`` fields are merged into every live record (explicit
     fields win).  The daemon uses it to stamp a campaign run's worker
@@ -203,23 +194,18 @@ class EventBus:
         self.live_context = dict(live_context) if live_context else {}
         self.events_path = os.path.join(self.directory, EVENTS_FILE)
         self.live_path = os.path.join(self.directory, LIVE_FILE)
+        self._events = _event_log(self.events_path)
+        self._live = _event_log(self.live_path)
         self._seq: int | None = None  # scanned lazily on first emit
 
     # ------------------------------------------------------------------
 
     def _next_seq(self) -> int:
         if self._seq is None:
-            existing = read_events(self.events_path)
+            existing = self._events.read().records
             self._seq = existing[-1]["seq"] + 1 if existing else 0
         seq, self._seq = self._seq, self._seq + 1
         return seq
-
-    def _append(self, path: str, record: dict) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        line = json.dumps(record, sort_keys=True) + "\n"
-        with open(path, "a", encoding="utf-8", newline="") as fh:
-            fh.write(line)
-            fh.flush()
 
     # ------------------------------------------------------------------
 
@@ -237,8 +223,7 @@ class EventBus:
             **fields,
         }
         validate_event(record)
-        self._append(self.events_path, record)
-        return record
+        return self._events.append(record)
 
     def live(self, etype: str, **fields) -> dict | None:
         """Publish one live record (wall-clock worker telemetry)."""
@@ -254,13 +239,12 @@ class EventBus:
             **fields,
         }
         validate_event(record)
-        self._append(self.live_path, record)
-        return record
+        return self._live.append(record)
 
     # ------------------------------------------------------------------
 
     def deterministic_records(self) -> list[dict]:
-        return read_events(self.events_path)
+        return self._events.read().records
 
     def live_records(self) -> list[dict]:
-        return read_events(self.live_path)
+        return self._live.read().records

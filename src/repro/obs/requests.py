@@ -16,10 +16,11 @@ demands it:
 * **Request lifecycle stream** — ``requests.ndjson`` in the service
   state directory: one schema-validated record per terminal request
   (phase spans: parse, admission, queue, cache, execute, serialize) or
-  shed.  Same discipline as :mod:`.events`: append-only NDJSON, a
-  torn-tail-tolerant reader (:func:`read_requests`), and a validator
+  shed.  Same discipline as :mod:`.events`: a flushed
+  :class:`~repro.ioutils.SealedLog` whose schema hook is the validator
   (:func:`validate_request_record`) the CI smoke job runs over the
-  whole stream.
+  whole stream, read back as its longest intact prefix
+  (:func:`read_requests`).
 * **RED / SLO** — folding helpers that turn span records into
   per-tenant/per-endpoint rate/error/duration metrics
   (:func:`register_red_metrics` / :func:`record_span_metrics` /
@@ -35,15 +36,14 @@ demands it:
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 
+from ..ioutils import SealedLog
 from ..telemetry.metrics import MetricsRegistry
-from .events import read_events
 
 __all__ = [
     "LATENCY_BUCKETS_S",
@@ -217,38 +217,34 @@ def validate_request_record(record: object) -> str:
     return rtype
 
 
-def read_requests(path: str | os.PathLike) -> list[dict]:
-    """Decode a request stream, tolerating a torn tail.
+def _request_log(path: str | os.PathLike) -> SealedLog:
+    return SealedLog(path, durable=False, schema=validate_request_record)
 
-    Same contract as :func:`repro.obs.events.read_events` — the longest
-    intact prefix of wholly-written lines — with one addition: a
-    decodable line that fails schema validation also ends the trusted
-    prefix (foreign bytes that happen to be JSON are still foreign).
+
+def read_requests(path: str | os.PathLike) -> list[dict]:
+    """Decode a request stream: its longest intact prefix.
+
+    Same contract as :func:`repro.obs.events.read_events`: a torn,
+    undecodable or schema-invalid line ends the trusted prefix
+    (foreign bytes that happen to be JSON are still foreign).
     """
-    records: list[dict] = []
-    for record in read_events(path):
-        try:
-            validate_request_record(record)
-        except ValueError:
-            break
-        records.append(record)
-    return records
+    return _request_log(path).read().records
 
 
 class RequestLog:
     """Appender for the request lifecycle stream.
 
-    Append-only buffered line writes with an explicit flush, exactly
-    like the live event stream: a concurrent board sees whole lines
-    promptly and a crash tears at most the final line, which
-    :func:`read_requests` tolerates.  Thread-safe — executor threads
-    finish requests concurrently.
+    One flushed line write per record, exactly like the live event
+    stream: a concurrent board sees whole lines promptly, and a crash
+    tears at most the final line, which :func:`read_requests` drops and
+    the next append cuts off.  Thread-safe — executor threads finish
+    requests concurrently.
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = os.fspath(directory)
         self.path = os.path.join(self.directory, REQUESTS_FILE)
-        self._lock = threading.Lock()
+        self._log = _request_log(self.path)
 
     def append(self, rtype: str, **fields) -> dict:
         record = {
@@ -258,16 +254,10 @@ class RequestLog:
             **fields,
         }
         validate_request_record(record)
-        line = json.dumps(record, sort_keys=True) + "\n"
-        with self._lock:
-            os.makedirs(self.directory, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8", newline="") as fh:
-                fh.write(line)
-                fh.flush()
-        return record
+        return self._log.append(record)
 
     def records(self) -> list[dict]:
-        return read_requests(self.path)
+        return self._log.read().records
 
 
 # ----------------------------------------------------------------------

@@ -72,7 +72,6 @@ from ..obs.requests import (
     record_span_metrics,
     register_red_metrics,
 )
-from ..sim.memostore import PersistentMemoCache
 from ..telemetry.metrics import MetricsRegistry
 from .admission import AdmissionController
 from .httpd import GracefulHTTPServer
@@ -409,9 +408,6 @@ class BenchDaemon:
         self._tenant_slo: dict[str, SLOTracker] = {}
         self._tenant_slo_lock = threading.Lock()
         self.request_log = RequestLog(self.state.root)
-        #: Shared model-evaluation cache: every bench request's engines
-        #: read and write the same persistent store.
-        self.model_cache = PersistentMemoCache(self.state.cache)
         self.state.cache.on_quarantine = lambda key: self.events.live(
             "cache-quarantined", key=key
         )
@@ -721,9 +717,7 @@ class BenchDaemon:
 
     def _run_bench(self, body: dict) -> tuple[str, int, str]:
         try:
-            ctx = ExecutionContext(
-                body["scenario"], body["seed"], memo=self.model_cache
-            )
+            ctx = ExecutionContext(body["scenario"], body["seed"])
             text = _render_bench(body["command"], ctx)
             return "done", int(ctx.exit_code()), text
         except ReproError as exc:

@@ -5,7 +5,7 @@ state directory::
 
     queue.jsonl            sealed request-lifecycle journal
     requests/<rid>.json    one terminal record per request id
-    cache/                 the shared MemoStore (results + model points)
+    cache/                 the shared MemoStore of request results
     campaigns/<digest>/    campaign run dirs (journal, store, tables)
     live.ndjson            service live events (repro.obs schema)
     requests.ndjson        request lifecycle spans (repro.obs.requests)
@@ -16,8 +16,9 @@ The **queue journal** is the write-ahead log of the admission queue:
 persisted.  Recovery is a replay: every accepted-but-not-done request
 re-enters the executor queue on restart, in acceptance order — which
 is exactly what makes a mid-request SIGKILL invisible to a retrying
-client.  Records are sealed with the shared checksum scheme and the
-reader tolerates a torn tail, so a crash mid-append costs at most the
+client.  The journal is a durable, sealed
+:class:`~repro.ioutils.SealedLog`: the reader drops a torn tail and
+the next append cuts it off, so a crash mid-append costs at most the
 record being appended (whose request the client will retry, and whose
 side effects are idempotent).
 
@@ -37,15 +38,8 @@ from __future__ import annotations
 import json
 import os
 import re
-import threading
 
-from ..ioutils import (
-    atomic_write_json,
-    atomic_write_text,
-    fsync_append_text,
-    read_sealed_ndjson,
-    seal_record,
-)
+from ..ioutils import SealedLog, atomic_write_json
 from ..sim.memo import content_digest
 from ..sim.memostore import MemoStore
 
@@ -63,12 +57,13 @@ REQUEST_KINDS = ("bench", "campaign")
 _SAFE = re.compile(r"[^A-Za-z0-9._-]")
 
 
-def _valid_queue_record(doc: dict) -> bool:
-    return (
-        doc.get("v") == QUEUE_VERSION
-        and doc.get("op") in QUEUE_OPS
-        and isinstance(doc.get("request_id"), str)
-    )
+def _check_queue_record(doc: dict) -> None:
+    if doc.get("v") != QUEUE_VERSION:
+        raise ValueError(f"unsupported queue version {doc.get('v')!r}")
+    if doc.get("op") not in QUEUE_OPS:
+        raise ValueError(f"unknown queue op {doc.get('op')!r}")
+    if not isinstance(doc.get("request_id"), str):
+        raise ValueError("queue record request_id is not a string")
 
 
 def _coerce(value, convert, field: str, default):
@@ -139,7 +134,10 @@ class ServiceState:
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = os.fspath(root)
         os.makedirs(self.requests_dir, exist_ok=True)
-        self._lock = threading.Lock()
+        self._queue = SealedLog(
+            self.queue_path, durable=True, sealed=True,
+            schema=_check_queue_record,
+        )
         self.cache = MemoStore(self.cache_dir)
 
     # ------------------------------------------------------------------
@@ -182,7 +180,7 @@ class ServiceState:
     # ------------------------------------------------------------------
 
     def journal_accepted(self, request_id: str, tenant: str, body: dict) -> None:
-        self._append(
+        self._queue.append(
             {
                 "v": QUEUE_VERSION,
                 "op": "accepted",
@@ -193,7 +191,7 @@ class ServiceState:
         )
 
     def journal_done(self, request_id: str, status: str, digest: str) -> None:
-        self._append(
+        self._queue.append(
             {
                 "v": QUEUE_VERSION,
                 "op": "done",
@@ -203,15 +201,9 @@ class ServiceState:
             }
         )
 
-    def _append(self, body: dict) -> None:
-        rec = seal_record(body)
-        with self._lock:
-            fsync_append_text(
-                self.queue_path, json.dumps(rec, sort_keys=True) + "\n"
-            )
-
     def read_queue(self) -> tuple[list[dict], int]:
-        return read_sealed_ndjson(self.queue_path, accept=_valid_queue_record)
+        result = self._queue.read()
+        return result.records, result.dropped
 
     # ------------------------------------------------------------------
     # terminal records
@@ -259,18 +251,14 @@ class ServiceState:
             if (self.load_record(item["request_id"]) or {}).get("status")
             not in ("done", "failed")
         ]
-        with self._lock:
-            lines = []
-            for item in survivors:
-                rec = seal_record(
-                    {
-                        "v": QUEUE_VERSION,
-                        "op": "accepted",
-                        "request_id": item["request_id"],
-                        "tenant": item["tenant"],
-                        "request": item["request"],
-                    }
-                )
-                lines.append(json.dumps(rec, sort_keys=True) + "\n")
-            atomic_write_text(self.queue_path, "".join(lines))
+        self._queue.rewrite(
+            {
+                "v": QUEUE_VERSION,
+                "op": "accepted",
+                "request_id": item["request_id"],
+                "tenant": item["tenant"],
+                "request": item["request"],
+            }
+            for item in survivors
+        )
         return survivors

@@ -8,11 +8,11 @@ from .calibration import (
     get_app_calibration,
     get_calibration,
 )
-from .batch import BATCH_CODEC, BatchEngine, BatchResult, KernelBatch
+from .batch import BatchEngine, BatchResult, KernelBatch
 from .contention import aggregate_rate, proportional_share, shared_throughput
 from .engine import PerfEngine
-from .memo import MemoCache, batch_digest, content_digest, kernel_signature
-from .memostore import MemoStore, PersistentMemoCache
+from .memo import MemoCache, content_digest, kernel_signature
+from .memostore import MemoStore
 from .kernel import (
     GEMM_N,
     TRIAD_ARRAY_BYTES,
@@ -39,14 +39,11 @@ __all__ = [
     "proportional_share",
     "shared_throughput",
     "PerfEngine",
-    "BATCH_CODEC",
     "BatchEngine",
     "BatchResult",
     "KernelBatch",
     "MemoCache",
-    "batch_digest",
     "MemoStore",
-    "PersistentMemoCache",
     "content_digest",
     "kernel_signature",
     "GEMM_N",

@@ -1,12 +1,11 @@
 """The persistent, shared, on-disk content-addressed memo store.
 
-:class:`~repro.sim.memo.MemoCache` is context-scoped: it dies with the
-run that built it.  The benchmark service (:mod:`repro.service`) needs
-the opposite — the paper campaign's 95.4% hit rate only makes repeated
-user queries near-free if the cache *survives* across requests and
-across daemon restarts.  :class:`MemoStore` is that shared tier: a
-directory of content-addressed JSON objects engineered for failure
-first.
+The benchmark service (:mod:`repro.service`) caches whole request
+results across requests and daemon restarts, so repeated user queries
+are near-free.  :class:`MemoStore` is that tier: a directory of
+content-addressed JSON objects engineered for failure first.
+(Per-point model values are not persisted: reading one back costs
+far more than recomputing the roofline — see docs/performance.md.)
 
 Layout (under one root directory)::
 
@@ -18,7 +17,8 @@ Robustness properties:
 
 * **Atomic two-phase writes** — every object lands via
   :func:`repro.ioutils.atomic_write_json` (temp file + fsync +
-  ``os.replace``), then the index journal records it with one fsync'd
+  ``os.replace``), then the index journal (a durable, sealed
+  :class:`~repro.ioutils.SealedLog`) records it with one fsync'd
   append.  A crash between the phases leaves an orphan object that the
   next index rebuild re-adopts; a crash mid-append leaves a torn index
   tail that the reader drops, backed by the objects on disk.
@@ -44,9 +44,10 @@ entry points take an in-process lock, and cross-process sharing is
 safe because objects are content-addressed (two writers racing on one
 key write identical bytes) and the index is append-only with
 self-checksummed records — appends (including the ENOSPC-retry
-truncation window) are serialized under the exclusive file lock
-:func:`repro.ioutils.fsync_append_text` holds, so one writer's retry
-can never clobber another's committed record.  Even a lost index
+truncation window and the torn-tail cut) are serialized under the
+exclusive file lock :func:`repro.ioutils.fsync_append_text` holds, so
+one writer's retry or heal can never clobber another's committed
+record.  Even a lost index
 record only costs recency: the objects on disk are the truth and the
 next index rebuild re-adopts them.
 """
@@ -57,17 +58,9 @@ import json
 import os
 import threading
 
-from ..ioutils import (
-    atomic_write_json,
-    atomic_write_text,
-    fsync_append_text,
-    read_sealed_ndjson,
-    record_intact,
-    seal_record,
-)
-from .memo import MemoCache, content_digest
+from ..ioutils import SealedLog, atomic_write_json, record_intact, seal_record
 
-__all__ = ["MemoStore", "PersistentMemoCache", "read_index"]
+__all__ = ["MemoStore", "read_index"]
 
 #: Default entry bound, matching the in-memory cache's cap.
 DEFAULT_MAX_ENTRIES = 4096
@@ -84,12 +77,17 @@ INDEX_OPS = ("put", "touch", "evict", "quarantine")
 _COMPACT_FACTOR = 8
 
 
-def _valid_index_record(doc: dict) -> bool:
-    return (
-        doc.get("v") == INDEX_VERSION
-        and doc.get("op") in INDEX_OPS
-        and isinstance(doc.get("key"), str)
-    )
+def _check_index_record(doc: dict) -> None:
+    if doc.get("v") != INDEX_VERSION:
+        raise ValueError(f"unsupported index version {doc.get('v')!r}")
+    if doc.get("op") not in INDEX_OPS:
+        raise ValueError(f"unknown index op {doc.get('op')!r}")
+    if not isinstance(doc.get("key"), str):
+        raise ValueError("index record key is not a string")
+
+
+def _index_log(path: str | os.PathLike) -> SealedLog:
+    return SealedLog(path, durable=True, sealed=True, schema=_check_index_record)
 
 
 def read_index(path: str | os.PathLike) -> tuple[list[dict], int]:
@@ -101,7 +99,8 @@ def read_index(path: str | os.PathLike) -> tuple[list[dict], int]:
     reader tailing the index while a writer is mid-append never sees a
     partial record.
     """
-    return read_sealed_ndjson(path, accept=_valid_index_record)
+    result = _index_log(path).read()
+    return result.records, result.dropped
 
 
 class MemoStore:
@@ -130,6 +129,7 @@ class MemoStore:
         self._lru: dict[str, bool] = {}
         self._index_records = 0
         os.makedirs(self.objects_dir, exist_ok=True)
+        self._index = _index_log(self.index_path)
         self._recover()
 
     # ------------------------------------------------------------------
@@ -175,7 +175,8 @@ class MemoStore:
         in sorted order ahead of journalled recency; index entries
         whose object vanished are dropped.
         """
-        records, _dropped = read_index(self.index_path)
+        index = self._index.read()
+        records = index.records
         on_disk = self._scan_objects()
         lru: dict[str, bool] = {}
         for rec in records:
@@ -188,15 +189,14 @@ class MemoStore:
         self._lru = {k: True for k in sorted(on_disk - set(lru))}
         self._lru.update({k: True for k in lru if k in on_disk})
         self._index_records = len(records)
-        if len(self._lru) != len(lru) or _dropped:
+        if len(self._lru) != len(lru) or index.dropped:
             # The journal disagreed with the disk (orphans, stale
             # entries, torn tail): rewrite it to match reality once,
             # atomically, then go back to O(1) appends.
             self._compact()
 
     def _append_index(self, op: str, key: str) -> None:
-        rec = seal_record({"v": INDEX_VERSION, "op": op, "key": key})
-        fsync_append_text(self.index_path, json.dumps(rec, sort_keys=True) + "\n")
+        self._index.append({"v": INDEX_VERSION, "op": op, "key": key})
         self._index_records += 1
         if self._index_records > max(_COMPACT_FACTOR * len(self._lru),
                                      _COMPACT_FACTOR):
@@ -204,12 +204,10 @@ class MemoStore:
 
     def _compact(self) -> None:
         """One atomic rewrite: a ``put`` record per live entry, in LRU order."""
-        lines = []
-        for key in self._lru:
-            rec = seal_record({"v": INDEX_VERSION, "op": "put", "key": key})
-            lines.append(json.dumps(rec, sort_keys=True) + "\n")
-        atomic_write_text(self.index_path, "".join(lines))
-        self._index_records = len(lines)
+        self._index.rewrite(
+            {"v": INDEX_VERSION, "op": "put", "key": key} for key in self._lru
+        )
+        self._index_records = len(self._lru)
 
     # ------------------------------------------------------------------
     # read / write
@@ -325,56 +323,3 @@ class MemoStore:
             "evictions": self.evictions,
             "quarantined": self.quarantined,
         }
-
-
-class PersistentMemoCache(MemoCache):
-    """A :class:`MemoCache` write-through layered over a :class:`MemoStore`.
-
-    The in-memory tier keeps the hot working set at dict speed; every
-    miss consults the shared store (decoding through *decode*), and
-    every computed value is written through (encoding through
-    *encode*), so a second process — or the same daemon after a
-    restart — starts warm.  Keys may be arbitrary hashables: they are
-    content-addressed into the store via
-    :func:`~repro.sim.memo.content_digest`.
-
-    The default codec round-trips :class:`~repro.sim.roofline.RooflinePoint`
-    (the engine's memoized value type); pass *encode*/*decode* for
-    other payloads.
-    """
-
-    __slots__ = ("store", "_encode", "_decode")
-
-    def __init__(
-        self,
-        store: MemoStore,
-        max_entries: int | None = None,
-        encode=None,
-        decode=None,
-    ) -> None:
-        super().__init__(max_entries or store.max_entries)
-        self.store = store
-        if encode is None or decode is None:
-            from .roofline import RooflinePoint
-            import dataclasses
-
-            encode = encode or dataclasses.asdict
-            decode = decode or (lambda doc: RooflinePoint(**doc))
-        self._encode = encode
-        self._decode = decode
-
-    def get(self, key):
-        value = super().get(key)
-        if value is not None:
-            return value
-        stored = self.store.get(content_digest(key))
-        if stored is None:
-            return None
-        value = self._decode(stored)
-        # Promote into the hot tier without re-writing the store.
-        super().put(key, value)
-        return value
-
-    def put(self, key, value) -> None:
-        super().put(key, value)
-        self.store.put(content_digest(key), self._encode(value))

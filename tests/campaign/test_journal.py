@@ -1,12 +1,13 @@
-"""Write-ahead journal: checksums, tail recovery, atomic healing."""
+"""Write-ahead journal: checksums, tail recovery, healing on append."""
 
 import json
 
 import pytest
 
-import repro.campaign.journal as journal_mod
-from repro.campaign.journal import WRITE_VERSION, Journal, JournalRecord
+import repro.ioutils as ioutils
+from repro.campaign.journal import WRITE_VERSION, Journal
 from repro.errors import CampaignCorruptError
+from repro.ioutils import SealedLog, record_intact, seal_record
 
 
 @pytest.fixture
@@ -16,19 +17,23 @@ def path(tmp_path):
 
 class TestRecordIntegrity:
     def test_sealed_record_is_intact(self):
-        rec = JournalRecord.seal({"v": 1, "type": "unit-start", "unit": "x"})
-        assert rec.intact()
+        rec = seal_record({"v": 1, "type": "unit-start", "unit": "x"})
+        assert record_intact(rec)
         assert len(rec["sha256"]) == 64
 
     def test_tampered_record_detected(self):
-        rec = JournalRecord.seal({"v": 1, "type": "unit-start", "unit": "x"})
+        rec = seal_record({"v": 1, "type": "unit-start", "unit": "x"})
         rec["unit"] = "y"
-        assert not rec.intact()
+        assert not record_intact(rec)
 
     def test_checksum_excludes_itself(self):
-        rec = JournalRecord.seal({"v": 1, "type": "resume"})
-        resealed = JournalRecord.seal(dict(rec))
+        rec = seal_record({"v": 1, "type": "resume"})
+        resealed = seal_record(dict(rec))
         assert resealed["sha256"] == rec["sha256"]
+
+    def test_appended_records_are_sealed(self, tmp_path):
+        rec = Journal(tmp_path / "j.jsonl").append("unit-start", unit="x")
+        assert rec == seal_record(rec)
 
 
 class TestAppendAndLoad:
@@ -162,9 +167,10 @@ class TestFormatV2:
     """The O(1)-append format: fsync'd lines, versioned records."""
 
     def _counting(self, monkeypatch):
-        calls = {"rewrites": 0, "appends": 0}
-        real_write = journal_mod.atomic_write_text
-        real_append = journal_mod.fsync_append_text
+        calls = {"rewrites": 0, "appends": 0, "scans": 0}
+        real_write = ioutils.atomic_write_text
+        real_append = ioutils.fsync_append_text
+        real_scan = ioutils.SealedLog._scan
 
         def counting_write(*args, **kwargs):
             calls["rewrites"] += 1
@@ -174,8 +180,13 @@ class TestFormatV2:
             calls["appends"] += 1
             return real_append(*args, **kwargs)
 
-        monkeypatch.setattr(journal_mod, "atomic_write_text", counting_write)
-        monkeypatch.setattr(journal_mod, "fsync_append_text", counting_append)
+        def counting_scan(*args, **kwargs):
+            calls["scans"] += 1
+            return real_scan(*args, **kwargs)
+
+        monkeypatch.setattr(ioutils, "atomic_write_text", counting_write)
+        monkeypatch.setattr(ioutils, "fsync_append_text", counting_append)
+        monkeypatch.setattr(ioutils.SealedLog, "_scan", counting_scan)
         return calls
 
     def test_appends_are_o1_after_the_first(self, path, monkeypatch):
@@ -184,10 +195,9 @@ class TestFormatV2:
         for i in range(20):
             j.append("unit-start", unit=f"u{i}")
         # A fresh Journal doesn't know the disk state, so the first
-        # append pays one atomic rewrite; every later record is one
-        # fsync'd append — the whole file is never rewritten again.
-        assert calls["rewrites"] == 1
-        assert calls["appends"] == 19
+        # append reads the file once; every record is one fsync'd
+        # append and the file is never read or rewritten again.
+        assert calls == {"rewrites": 0, "appends": 20, "scans": 1}
 
     def test_loaded_clean_journal_never_rewrites(self, path, monkeypatch):
         j = Journal(path)
@@ -196,7 +206,7 @@ class TestFormatV2:
         calls = self._counting(monkeypatch)
         loaded = Journal.load(path)
         loaded.append("resume", skipped=[], rerun=[])
-        assert calls == {"rewrites": 0, "appends": 1}
+        assert calls == {"rewrites": 0, "appends": 1, "scans": 1}
 
     def test_heal_after_torn_tail_then_back_to_o1(self, path, monkeypatch):
         j = Journal(path)
@@ -207,9 +217,13 @@ class TestFormatV2:
         recovered = Journal.load(path)
         recovered.append("resume", skipped=[], rerun=["u2"])
         recovered.append("unit-start", unit="u2")
-        # One healing rewrite for the torn tail, then O(1) appends again.
-        assert calls == {"rewrites": 1, "appends": 1}
-        Journal.load(path, strict=True)
+        # The load and the healing first append each read the file
+        # once; the torn tail is cut off in place, then O(1) appends.
+        assert calls == {"rewrites": 0, "appends": 2, "scans": 2}
+        healed = Journal.load(path, strict=True)
+        assert [r["type"] for r in healed.records] == [
+            "unit-done", "unit-done", "resume", "unit-start",
+        ]
 
     def test_foreign_bytes_on_disk_trigger_a_heal(self, path):
         j = Journal(path)
@@ -228,7 +242,7 @@ class TestFormatV2:
     def _write_raw(self, path, docs):
         with open(path, "w", encoding="utf-8") as fh:
             for doc in docs:
-                fh.write(JournalRecord.seal(doc).line())
+                fh.write(SealedLog.line(seal_record(doc)))
 
     def test_v1_journals_still_load(self, path):
         self._write_raw(

@@ -1,7 +1,8 @@
-"""Bounded IO retry: transient disk faults absorbed byte-exactly."""
+"""Bounded IO retry and the sealed append-only log."""
 
 import errno
 import os
+import sys
 import threading
 import time
 
@@ -10,6 +11,7 @@ import pytest
 import repro.ioutils as ioutils
 from repro.ioutils import (
     IO_RETRY_ATTEMPTS,
+    SealedLog,
     atomic_write_text,
     fsync_append_text,
     io_retry_count,
@@ -168,3 +170,82 @@ class TestBackoffAndGateProtocol:
         first = _fail_first(0)
         assert set_io_fault_gate(first) is None
         assert set_io_fault_gate(None) is first
+
+
+class TestSealedLog:
+    def test_read_reports_where_and_why_the_prefix_ended(self, tmp_path):
+        log = SealedLog(tmp_path / "log.jsonl", durable=True, sealed=True)
+        for n in range(3):
+            log.append({"n": n})
+        with open(log.path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        lines[1] = lines[1].replace('"n": 1', '"n": 9')
+        with open(log.path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        result = log.read()
+        assert [r["n"] for r in result.records] == [0]
+        assert (result.lineno, result.dropped) == (2, 2)
+        assert result.reason == "fails its sha256 checksum"
+        assert result.end == len(lines[0].encode())
+
+    def test_schema_hook_message_is_the_reason(self, tmp_path):
+        def schema(doc):
+            if doc["n"] > 0:
+                raise ValueError("has n > 0")
+
+        path = tmp_path / "log.jsonl"
+        SealedLog(path, durable=False).append({"n": 1})
+        result = SealedLog(path, durable=False, schema=schema).read()
+        assert (result.records, result.lineno) == ([], 1)
+        assert result.reason == "has n > 0"
+
+    def test_heal_keeps_records_another_appender_committed(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        a = SealedLog(path, durable=True, sealed=True)
+        b = SealedLog(path, durable=True, sealed=True)
+        a.append({"n": 1})
+        b.append({"n": 2})
+        with open(path, "ab") as fh:
+            fh.write(b'{"n": 3, "sha')  # a third writer died mid-append
+        a.append({"n": 4})
+        result = b.read()
+        assert [r["n"] for r in result.records] == [1, 2, 4]
+        assert result.dropped == 0
+
+    def test_rewrite_replaces_atomically_and_appends_continue(self, tmp_path):
+        log = SealedLog(tmp_path / "log.jsonl", durable=True, sealed=True)
+        for n in range(5):
+            log.append({"n": n})
+        log.rewrite([{"n": 3}, {"n": 4}])
+        log.append({"n": 5})
+        assert [r["n"] for r in log.read().records] == [3, 4, 5]
+
+    def test_concurrent_appenders_lose_no_record(self, tmp_path):
+        path = tmp_path / "log.ndjson"
+        shared = SealedLog(path, durable=False)
+        logs = [shared, shared, shared, SealedLog(path, durable=False),
+                SealedLog(path, durable=False), SealedLog(path, durable=False)]
+
+        def writer(index, log):
+            for n in range(40):
+                log.append({"w": index, "n": n})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=writer, args=(i, log))
+                for i, log in enumerate(logs)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        result = SealedLog(path, durable=False).read()
+        assert result.dropped == 0
+        assert sorted((r["w"], r["n"]) for r in result.records) == [
+            (w, n) for w in range(len(logs)) for n in range(40)
+        ]

@@ -190,6 +190,47 @@ class TestEventBus:
     def test_missing_stream_reads_empty(self, tmp_path):
         assert read_events(tmp_path / "events.ndjson") == []
 
+    def test_first_emit_creates_the_directory(self, tmp_path):
+        bus = EventBus(tmp_path / "run")
+        bus.emit("campaign-done", sim_us=0.0, exit=0)
+        assert [r["seq"] for r in bus.deterministic_records()] == [0]
+
+    def test_emit_after_torn_tail_heals_the_stream(self, tmp_path):
+        bus = EventBus(tmp_path)
+        bus.emit("campaign-start", sim_us=0.0, **_DET_SAMPLES["campaign-start"])
+        bus.emit("resume", sim_us=0.0, skipped=0, rerun=1)
+        path = tmp_path / "events.ndjson"
+        path.write_bytes(path.read_bytes()[:-15])
+        bus = EventBus(tmp_path)
+        bus.emit("resume", sim_us=0.0, skipped=0, rerun=1)
+        bus.emit("campaign-done", sim_us=1.0, exit=0)
+        records = read_events(path)
+        assert [r["type"] for r in records] == [
+            "campaign-start", "resume", "campaign-done",
+        ]
+        assert [r["seq"] for r in records] == [0, 1, 2]
+
+    def test_live_after_torn_tail_heals_the_stream(self, tmp_path):
+        bus = EventBus(tmp_path)
+        bus.live("run-live", jobs=2, pid=1, units=4)
+        bus.live("pool-degraded")
+        path = tmp_path / "live.ndjson"
+        path.write_bytes(path.read_bytes()[:-15])
+        bus = EventBus(tmp_path)
+        bus.live("pool-degraded")
+        bus.live("worker-spawn", worker="w1", index=1)
+        assert [r["type"] for r in read_events(path)] == [
+            "run-live", "pool-degraded", "worker-spawn",
+        ]
+
+    def test_schema_invalid_record_ends_prefix(self, tmp_path):
+        bus = EventBus(tmp_path)
+        rec = bus.live("pool-degraded")
+        with open(bus.live_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"v": 1, "type": "bogus", "ts": 0.0}) + "\n")
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        assert read_events(bus.live_path) == [rec]
+
 
 class TestStreamDeterminism:
     def _run(self, directory, jobs):

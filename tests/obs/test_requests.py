@@ -144,6 +144,23 @@ class TestRequestLog:
     def test_read_missing_file_is_empty(self, tmp_path):
         assert read_requests(tmp_path / "requests.ndjson") == []
 
+    def test_append_after_torn_tail_heals_the_stream(self, tmp_path):
+        def shed(log, request):
+            log.append("request-shed", trace_id="a" * 32, request=request,
+                       tenant="t", endpoint="bench:table4", reason="queue-full")
+
+        log = RequestLog(tmp_path)
+        shed(log, "r-1")
+        shed(log, "r-2")
+        path = tmp_path / "requests.ndjson"
+        path.write_bytes(path.read_bytes()[:-15])
+        log = RequestLog(tmp_path)
+        shed(log, "r-2")
+        shed(log, "r-3")
+        assert [r["request"] for r in read_requests(path)] == [
+            "r-1", "r-2", "r-3",
+        ]
+
 
 class TestRedFold:
     def test_span_and_shed_fold(self):

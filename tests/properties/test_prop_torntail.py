@@ -14,21 +14,26 @@ representative stream, is:
   write: the dropped-tail count matches what was cut.
 
 This is the byte-level generalisation of the line-level torn-tail
-tests the journal already has, and it covers the three readers the
-service daemon depends on: the live event stream, the memostore index
-journal, and the service queue journal.
+tests the journal already has.  It covers all five append-only
+streams: the campaign journal, the deterministic and live event
+streams, the request span stream, the memostore index journal, and the
+service queue journal.  A last sweep chops each stream at every byte,
+appends one record through the stream's own writer, and checks that
+the append heals the tear: the reader then sees the intact prefix plus
+the new record.
 """
 
 import json
 
 import pytest
 
+from repro.campaign.journal import Journal
 from repro.ioutils import seal_record
-from repro.obs.events import EVENT_SCHEMA_VERSION, EventBus, read_events
+from repro.obs.events import EventBus, read_events
 from repro.sim.memo import content_digest
-from repro.sim.memostore import INDEX_VERSION, MemoStore, read_index
+from repro.sim.memostore import INDEX_VERSION, MemoStore, _index_log, read_index
 from repro.obs.requests import RequestLog, read_requests
-from repro.service.state import QUEUE_VERSION, ServiceState
+from repro.service.state import ServiceState, normalize_request
 
 
 def _chop_points(data: bytes) -> range:
@@ -63,6 +68,46 @@ class TestLiveStreamChopSweep:
         records = read_events(bus.live_path)
         assert len(records) == 1
         assert records[0]["type"] == "pool-degraded"
+
+
+class TestJournalChopSweep:
+    def test_every_chop_reads_longest_intact_prefix(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        journal = Journal(path)
+        journal.append("campaign-start", spec="smoke", seed=0)
+        for index in range(4):
+            journal.append("unit-start", unit=f"u{index}")
+        data = path.read_bytes()
+        full = Journal.load(path).records
+        assert len(full) == 5
+        chopped = tmp_path / "chopped.jsonl"
+        for chop in _chop_points(data):
+            chopped.write_bytes(data[:chop])
+            loaded = Journal.load(chopped)
+            expected = _intact_prefix_lines(data, chop)
+            assert loaded.records == full[:expected], f"chop at byte {chop}"
+            torn = int(not data[:chop].endswith(b"\n") and chop > 0)
+            assert loaded.dropped_tail == torn, f"chop at byte {chop}"
+
+
+class TestEventStreamChopSweep:
+    def test_every_chop_reads_longest_intact_prefix(self, tmp_path):
+        bus = EventBus(tmp_path)
+        bus.emit("campaign-start", sim_us=0.0, spec="smoke", spec_digest="d",
+                 scenario=None, seed=0, units=4)
+        for index in range(4):
+            bus.emit("unit-committed", sim_us=float(index), unit=f"u{index}",
+                     status="OK", digest="e" * 64, simulated_s=0.5)
+        bus.emit("campaign-done", sim_us=4.0, exit=0)
+        data = open(bus.events_path, "rb").read()
+        full = read_events(bus.events_path)
+        assert len(full) == 6
+        chopped = tmp_path / "chopped.ndjson"
+        for chop in _chop_points(data):
+            chopped.write_bytes(data[:chop])
+            records = read_events(chopped)
+            expected = _intact_prefix_lines(data, chop)
+            assert records == full[:expected], f"chop at byte {chop}"
 
 
 class TestMemostoreIndexChopSweep:
@@ -191,8 +236,6 @@ class TestRequestLogChopSweep:
 class TestQueueJournalChopSweep:
     def test_every_chop_yields_valid_recovery(self, tmp_path):
         state = ServiceState(tmp_path / "svc")
-        from repro.service.state import normalize_request
-
         body = normalize_request({"command": "table4"})
         for i in range(4):
             state.journal_accepted(f"r-{i}", "default", body)
@@ -217,11 +260,137 @@ class TestQueueJournalChopSweep:
         """recover() rewrites the journal; the rewrite must be sealed
         NDJSON a second recovery reads identically."""
         state = ServiceState(tmp_path / "svc")
-        from repro.service.state import normalize_request
-
         body = normalize_request({"command": "table1"})
         for i in range(3):
             state.journal_accepted(f"r-{i}", "t", body)
         first = [s["request_id"] for s in state.recover()]
         second = [s["request_id"] for s in state.recover()]
         assert first == second == ["r-0", "r-1", "r-2"]
+
+
+# ----------------------------------------------------------------------
+# chop, append one record, read: every stream heals its torn tail
+# ----------------------------------------------------------------------
+
+
+class _Journal:
+    name = "journal.jsonl"
+
+    def seed(self, d):
+        journal = Journal(d / self.name)
+        journal.append("campaign-start", spec="smoke", seed=0)
+        for index in range(2):
+            journal.append("unit-start", unit=f"u{index}")
+
+    def append(self, d):
+        return Journal.load(d / self.name).append("resume", skipped=[], rerun=[])
+
+    def read(self, d):
+        return Journal.load(d / self.name).records
+
+
+class _Events:
+    name = "events.ndjson"
+
+    def seed(self, d):
+        bus = EventBus(d)
+        for index in range(3):
+            bus.emit("unit-committed", sim_us=float(index), unit=f"u{index}",
+                     status="OK", digest="e" * 64, simulated_s=0.5)
+
+    def append(self, d):
+        return EventBus(d).emit("campaign-done", sim_us=9.0, exit=0)
+
+    def read(self, d):
+        return read_events(d / self.name)
+
+
+class _Live:
+    name = "live.ndjson"
+
+    def seed(self, d):
+        bus = EventBus(d)
+        for index in range(3):
+            bus.live("worker-heartbeat", index=index, unit=f"u{index}")
+
+    def append(self, d):
+        return EventBus(d).live("pool-degraded")
+
+    def read(self, d):
+        return read_events(d / self.name)
+
+
+class _Requests:
+    name = "requests.ndjson"
+
+    def seed(self, d):
+        log = RequestLog(d)
+        for index in range(3):
+            log.append("request-shed", trace_id=f"{index:032x}",
+                       request=f"r-{index}", tenant="t", endpoint="e",
+                       reason="tenant-rate")
+
+    def append(self, d):
+        return RequestLog(d).append(
+            "request-shed", trace_id="f" * 32, request="r-new", tenant="t",
+            endpoint="e", reason="queue-full",
+        )
+
+    def read(self, d):
+        return read_requests(d / self.name)
+
+
+class _Index:
+    name = "index.jsonl"
+
+    def seed(self, d):
+        store = MemoStore(d)
+        for index in range(3):
+            store.put(content_digest(("k", index)), {"i": index})
+
+    def append(self, d):
+        return _index_log(d / self.name).append(
+            {"v": INDEX_VERSION, "op": "put", "key": "a" * 64}
+        )
+
+    def read(self, d):
+        return read_index(d / self.name)[0]
+
+
+class _Queue:
+    name = "queue.jsonl"
+
+    def seed(self, d):
+        state = ServiceState(d)
+        body = normalize_request({"command": "table4"})
+        for index in range(3):
+            state.journal_accepted(f"r-{index}", "default", body)
+
+    def append(self, d):
+        state = ServiceState(d)
+        state.journal_done("r-0", "done", "d" * 64)
+        return state.read_queue()[0][-1]
+
+    def read(self, d):
+        return ServiceState(d).read_queue()[0]
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [_Journal(), _Events(), _Live(), _Requests(), _Index(), _Queue()],
+    ids=lambda stream: stream.name,
+)
+def test_every_chop_then_append_reads_prefix_plus_record(tmp_path, stream):
+    """A writer opened over a stream cut at any byte cuts the torn tail
+    off before its first append, so the new record is visible right
+    after the intact prefix — never glued to a partial line."""
+    stream.seed(tmp_path)
+    path = tmp_path / stream.name
+    data = path.read_bytes()
+    full = stream.read(tmp_path)
+    assert len(full) == data.count(b"\n")
+    for chop in _chop_points(data):
+        path.write_bytes(data[:chop])
+        record = stream.append(tmp_path)
+        expected = full[: _intact_prefix_lines(data, chop)] + [record]
+        assert stream.read(tmp_path) == expected, f"chop at byte {chop}"

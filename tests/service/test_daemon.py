@@ -102,6 +102,26 @@ class TestRoutes:
         assert "service_requests" in body
         assert body.rstrip().endswith("# EOF")
 
+    def test_cache_gauges_count_request_results_only(self, daemon):
+        """One cold and one identical warm request: the result cache
+        holds one entry and served one hit; no model evaluations are
+        persisted beside it.  (table2 is the bench command that
+        evaluates roofline points.)"""
+        post_request(daemon.url, {"request_id": "c1", "command": "table2"})
+        _, warm, _ = post_request(
+            daemon.url, {"request_id": "c2", "command": "table2"}
+        )
+        assert warm["cached"] is True
+        with urllib.request.urlopen(daemon.url + "/metrics", timeout=10) as resp:
+            body = resp.read().decode()
+        samples = dict(
+            line.split()[:2]
+            for line in body.splitlines()
+            if line.startswith("service_cache_")
+        )
+        assert float(samples["service_cache_entries"]) == 1
+        assert float(samples["service_cache_hits"]) == 1
+
 
 class TestIdempotency:
     def test_same_id_replays_without_rerun(self, daemon):

@@ -1,11 +1,10 @@
-"""The vectorized batch engine: parity, memoization, codecs, contracts.
+"""The vectorized batch engine: parity, contracts, telemetry.
 
 The batch path's single promise is that it is the scalar engine run
 faster: every numeric column must equal what point-by-point
 :meth:`PerfEngine.roofline` calls produce, bit for bit.  These tests
 pin that promise on the paper's own kernels, plus the batch-specific
-surfaces — struct-of-arrays validation, chunk slicing, the block
-digest, chunk-granular memoization, the memostore codec, and the
+surfaces — struct-of-arrays validation, chunk slicing, and the
 fault-engine rejection.
 """
 
@@ -17,10 +16,8 @@ from repro.errors import KernelSpecError
 from repro.hw.frequency import WorkloadKind
 from repro.hw.systems import get_system
 from repro.sim.batch import (
-    BATCH_CODEC,
     BOUND_LABELS,
     BatchEngine,
-    BatchResult,
     KernelBatch,
 )
 from repro.sim.engine import PerfEngine
@@ -30,7 +27,6 @@ from repro.sim.kernel import (
     pointer_chase_kernel,
     triad_kernel,
 )
-from repro.sim.memostore import MemoStore, PersistentMemoCache
 from repro.sim.noise import QUIET
 
 
@@ -95,13 +91,6 @@ class TestKernelBatch:
         assert tail.spec(0, name="p") == batch.spec(2, name="p")
         with pytest.raises(TypeError):
             batch[0]
-
-    def test_digest_is_content_addressed(self):
-        a = KernelBatch.from_arrays(flops=[1.0, 2.0])
-        b = KernelBatch.from_arrays(flops=[1.0, 2.0])
-        c = KernelBatch.from_arrays(flops=[1.0, 3.0])
-        assert a.digest() == b.digest()
-        assert a.digest() != c.digest()
 
 
 class TestParity:
@@ -177,66 +166,6 @@ class TestContracts:
         assert len(batch_engine._rate_cache) == 1
 
 
-class TestMemoization:
-    def test_chunk_memoizes_as_one_entry(self):
-        engine = _engine("aurora")
-        batch_engine = engine.batch()
-        batch = KernelBatch.from_specs(_paper_specs())
-        assert len(engine.memo) == 0
-        first = batch_engine.evaluate(batch, memoize=True)
-        assert len(engine.memo) == 1
-        again = batch_engine.evaluate(batch, memoize=True)
-        assert again is first
-        assert engine.memo.hits == 1
-
-    def test_memo_key_separates_engines(self):
-        batch = KernelBatch.from_specs(_paper_specs())
-        aurora = _engine("aurora")
-        ablated = PerfEngine(
-            get_system("aurora"), noise=QUIET, enable_tdp=False
-        )
-        shared = aurora.memo
-        ablated.memo = shared
-        aurora.batch().evaluate(batch, memoize=True)
-        ablated.batch().evaluate(batch, memoize=True)
-        assert len(shared) == 2  # distinct identity digests, no collision
-
-
-class TestCodec:
-    def test_result_doc_round_trip(self):
-        engine = _engine("dawn")
-        batch = KernelBatch.from_specs(_paper_specs())
-        result = engine.batch().evaluate(batch)
-        doc = result.to_doc()
-        rebuilt = BatchResult.from_doc(doc)
-        for i in range(len(batch)):
-            assert rebuilt.point(i) == result.point(i)
-
-    def test_bad_schema_rejected(self):
-        with pytest.raises(ValueError, match="batch-result"):
-            BatchResult.from_doc({"schema": "nope"})
-
-    def test_persistent_cache_round_trip(self, tmp_path):
-        encode, decode = BATCH_CODEC
-        engine = _engine("aurora")
-        batch = KernelBatch.from_specs(_paper_specs())
-        key = ("batch", engine.identity_digest(), batch.digest())
-
-        store = MemoStore(tmp_path / "cache")
-        cache = PersistentMemoCache(store, encode=encode, decode=decode)
-        engine.memo = cache
-        result = engine.batch().evaluate(batch, memoize=True)
-
-        # A second process (fresh in-memory tier, same store) starts warm.
-        warm = PersistentMemoCache(
-            MemoStore(tmp_path / "cache"), encode=encode, decode=decode
-        )
-        restored = warm.get(key)
-        assert restored is not None
-        for i in range(len(batch)):
-            assert restored.point(i) == result.point(i)
-
-
 class TestTelemetry:
     def test_batch_counters(self):
         from repro.telemetry import Telemetry
@@ -247,8 +176,8 @@ class TestTelemetry:
         )
         batch_engine = engine.batch()
         batch = KernelBatch.from_specs(_paper_specs())
-        batch_engine.evaluate(batch, memoize=True)
-        batch_engine.evaluate(batch, memoize=True)
+        batch_engine.evaluate(batch)
+        batch_engine.evaluate(batch)
         snapshot = telemetry.metrics.snapshot()
 
         def total(name: str) -> float:
@@ -256,4 +185,3 @@ class TestTelemetry:
 
         assert total("batch.evals") == 2.0
         assert total("batch.points") == 2.0 * len(batch)
-        assert total("batch.chunk_hits") == 1.0

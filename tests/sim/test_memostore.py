@@ -14,13 +14,8 @@ import os
 import pytest
 
 from repro.ioutils import seal_record, set_io_fault_gate
-from repro.sim.memo import MemoCache, content_digest
-from repro.sim.memostore import (
-    MemoStore,
-    PersistentMemoCache,
-    read_index,
-)
-from repro.sim.roofline import RooflinePoint
+from repro.sim.memo import content_digest
+from repro.sim.memostore import MemoStore, read_index
 
 
 def _digest(i: int) -> str:
@@ -225,39 +220,3 @@ class TestEnospcDrill:
                 store.put(_digest(1), "v")
         finally:
             set_io_fault_gate(None)
-
-
-class TestPersistentMemoCache:
-    def test_roofline_point_round_trip(self, tmp_path):
-        store = MemoStore(tmp_path / "cache")
-        cache = PersistentMemoCache(store)
-        point = RooflinePoint(
-            compute_s=1.5e-3, memory_s=2.5e-3, latency_s=1e-6,
-            compute_rate=2e13, mem_bw=1e12,
-        )
-        cache.put(("gemm", 4096), point)
-        # A fresh cache over the same store starts warm.
-        warm = PersistentMemoCache(MemoStore(tmp_path / "cache"))
-        got = warm.get(("gemm", 4096))
-        assert got == point
-        # Promotion: the second read is served from the memory tier.
-        hits_before = warm.store.hits
-        assert warm.get(("gemm", 4096)) == point
-        assert warm.store.hits == hits_before
-
-    def test_is_a_memocache(self, tmp_path):
-        cache = PersistentMemoCache(MemoStore(tmp_path / "cache"))
-        assert isinstance(cache, MemoCache)
-
-    def test_custom_codec(self, tmp_path):
-        store = MemoStore(tmp_path / "cache")
-        cache = PersistentMemoCache(
-            store, encode=lambda v: {"n": v}, decode=lambda d: d["n"]
-        )
-        cache.put("k", 7)
-        fresh = PersistentMemoCache(
-            MemoStore(tmp_path / "cache"),
-            encode=lambda v: {"n": v},
-            decode=lambda d: d["n"],
-        )
-        assert fresh.get("k") == 7
