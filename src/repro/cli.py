@@ -390,17 +390,17 @@ def _cmd_health(ctx: ExecutionContext) -> None:
     from .core.result import CellStatus
     from .hw.selfcheck import node_health
     from .hw.systems import get_system
+    from .sim.engine import PerfEngine
 
     for name in ("aurora", "dawn"):
         if ctx.active:
             engine = ctx.engine(name)
-            injector = engine.faults
-            injector.fast_forward()
-            report = node_health(engine.system, injector)
+            engine.faults.fast_forward()
+            report = node_health(engine)
             if not report.healthy:
                 ctx.record(CellStatus.DEGRADED)
         else:
-            report = node_health(get_system(name))
+            report = node_health(PerfEngine(get_system(name)))
         print(report.render())
         print()
     from .profiler.selfcheck import profiler_selfcheck

@@ -73,8 +73,9 @@ class ExecutionContext:
     def engine(self, sys_name: str) -> PerfEngine:
         """The (cached) engine for a system, injector attached if active.
 
-        Each context builds its own fresh :class:`System`, so fabric
-        health mutations never leak between runs or into other contexts.
+        Every context shares the process's one :class:`System` per name;
+        fault health lives in this context's injector overlay, so it
+        never leaks between runs or into other contexts.
         """
         if sys_name not in self._engines:
             system: System = get_system(sys_name)

@@ -3,10 +3,12 @@
 One injector instance is shared by everything simulating a node: the
 performance engine consults it for device health and DVFS throttle, the
 SYCL runtime for USM allocation failures, the Level-Zero driver (via the
-fabric) for device enumeration, and the MPI layer for rank hangs and
-message corruption.  Topology faults are applied to the node's
-:class:`~repro.hw.interconnect.Fabric` health overlay, so routing and
-bandwidth queries degrade without any benchmark code knowing about it.
+engine's fabric view) for device enumeration, and the MPI layer for rank
+hangs and message corruption.  Topology faults are applied to the
+injector's own :class:`~repro.hw.interconnect.FabricHealth` overlay on the
+node's shared, immutable fabric; every engine built with this injector
+routes through that overlay, so routing and bandwidth queries degrade
+without any benchmark code knowing about it, and no other engine sees it.
 
 The injector also keeps two logs:
 
@@ -24,6 +26,7 @@ import numpy as np
 
 from ..errors import AllocationError, DeviceLostError, TransientKernelError
 from ..hw.ids import StackRef
+from ..hw.interconnect import FabricHealth
 from ..hw.node import Node
 from .plan import FaultClock, FaultEvent, FaultKind, FaultPlan
 
@@ -44,14 +47,14 @@ class FaultInjector:
     ) -> None:
         self.plan = plan
         self.node = node
-        self.fabric = node.fabric
+        #: This injector's health overlay: lost stacks and link health.
+        self.health = FabricHealth(node.fabric)
         self.clock = FaultClock()
         self.telemetry = telemetry
         self.history: list[str] = []
         self._incidents: dict[str, None] = {}  # ordered de-duplicated set
         self._pending_ticks = plan.tick_events()
         self._stream_events = plan.stream_events()
-        self._dead: set[StackRef] = set()
         self._clock_ratio = 1.0
         self._throttle_noted = False
 
@@ -100,9 +103,8 @@ class FaultInjector:
         if kind is FaultKind.DEVICE_LOSS:
             ref = event.target
             assert isinstance(ref, StackRef)
-            if ref not in self._dead:
-                self._dead.add(ref)
-                self.fabric.set_stack_down(ref)
+            if ref not in self.health.down:
+                self.health.set_stack_down(ref)
                 self.note(f"device {ref} lost (tick {event.at})")
                 lane = (
                     self.telemetry.gpu_lane(ref)
@@ -114,7 +116,7 @@ class FaultInjector:
                     kind="device-loss", tick=event.at,
                 )
         elif kind is FaultKind.PLANE_OUTAGE:
-            self.fabric.set_plane_health(int(event.target), 0.0)
+            self.health.set_plane_health(int(event.target), 0.0)
             self.note(f"Xe-Link plane {event.target} outage")
             self._mark(
                 f"plane {event.target} outage",
@@ -122,7 +124,7 @@ class FaultInjector:
             )
         elif kind is FaultKind.LINK_DEGRADE:
             factor = event.magnitude if event.magnitude is not None else 0.5
-            self.fabric.set_plane_health(int(event.target), factor)
+            self.health.set_plane_health(int(event.target), factor)
             self.note(f"Xe-Link plane {event.target} degraded to {factor:g}x")
             self._mark(
                 f"plane {event.target} degraded",
@@ -130,7 +132,7 @@ class FaultInjector:
             )
         elif kind is FaultKind.LINK_CUT:
             a, b = event.target  # type: ignore[misc]
-            self.fabric.set_link_health(a, b, 0.0)
+            self.health.set_link_health(a, b, 0.0)
             self.note(f"link {a} -- {b} cut")
             self._mark(
                 f"link {a} -- {b} cut", kind="link-cut",
@@ -151,15 +153,15 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def is_dead(self, ref: StackRef) -> bool:
-        return ref in self._dead
+        return ref in self.health.down
 
     def alive(self, refs: Iterable[StackRef]) -> list[StackRef]:
-        return [r for r in refs if r not in self._dead]
+        return [r for r in refs if r not in self.health.down]
 
     def check_stack(self, *refs: StackRef) -> None:
         """Raise :class:`DeviceLostError` if any endpoint is dead."""
         for ref in refs:
-            if ref in self._dead:
+            if ref in self.health.down:
                 self.note(f"transfer touched lost device {ref}")
                 raise DeviceLostError(f"device {ref} is lost", stack=ref)
 
@@ -260,10 +262,4 @@ class FaultInjector:
 
     @property
     def dead_stacks(self) -> list[StackRef]:
-        return sorted(self._dead)
-
-    def restore(self) -> None:
-        """Undo topology mutations (tests re-using a shared fabric)."""
-        self.fabric.reset_health()
-        self._dead.clear()
-        self._clock_ratio = 1.0
+        return sorted(self.health.down)

@@ -13,9 +13,10 @@ Two structural facts from the paper drive this module:
    needs an extra hop, e.g. ``0.0 -> 1.0`` routes as ``0.0 -> 1.1 -> 1.0``
    or ``0.0 -> 0.1 -> 1.0``.
 
-The fabric is a :mod:`networkx` multigraph over host sockets and logical
-devices; routing enumerates simple paths and picks minimum-hop routes, so
-the two alternative paths the paper describes fall out of the topology.
+The fabric is an adjacency map over host sockets and logical devices;
+routing runs a breadth-first search and enumerates every minimum-hop
+path, so the two alternative paths the paper describes fall out of the
+topology.
 """
 
 from __future__ import annotations
@@ -23,14 +24,20 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import networkx as nx
+from typing import Collection, Iterable, Sequence
 
 from ..errors import TopologyError
 from .ids import StackRef
 
-__all__ = ["LinkKind", "Link", "Route", "Fabric", "HOST"]
+__all__ = [
+    "LinkKind",
+    "Link",
+    "Route",
+    "Fabric",
+    "FabricHealth",
+    "FabricView",
+    "HOST",
+]
 
 #: Graph node representing a host socket: ("host", socket_index).
 HOST = "host"
@@ -102,143 +109,38 @@ class Route:
 
 
 class Fabric:
-    """The node's interconnect graph.
+    """The node's interconnect topology, immutable once built.
 
-    Nodes are either ``(HOST, socket)`` tuples or :class:`StackRef`s.
+    Nodes are either ``(HOST, socket)`` tuples or :class:`StackRef`s;
+    *links* are ``(a, b, Link)`` triples.  One instance is shared by every
+    engine of a system, so it carries no health state: fault injection
+    records lost stacks and links in a per-injector :class:`FabricHealth`
+    overlay, and each engine reads both through its own
+    :class:`FabricView`.
     """
 
-    def __init__(self) -> None:
-        self._g = nx.Graph()
-        self._planes: tuple[frozenset[StackRef], ...] = ()
-        # Health overlay (fault injection).  The underlying graph is never
-        # mutated: dead stacks and dead/degraded links are tracked here and
-        # filtered out (or scaled) by the routing/bandwidth queries.
-        self._down_stacks: set[StackRef] = set()
-        self._link_health: dict[frozenset, float] = {}
-        # Route memoization.  Enumerating minimum-hop routes walks the
-        # networkx graph (shortest_path_length + all_simple_paths) — the
-        # dominant cost of P2P sweeps — yet the answer only changes when
-        # the topology or the health overlay does, so every mutator
-        # bumps ``_route_generation`` and drops the caches.
-        self._route_generation = 0
-        self._route_cache: dict[tuple, list[Route]] = {}
-        self._hops_cache: dict[tuple, int] = {}
-        # Optional telemetry hook: called as fn(src, dst, route) on every
-        # routing decision.  Must not call route() back (re-entrancy).
-        self._observer = None
-
-    def _invalidate_routes(self) -> None:
-        self._route_generation += 1
-        self._route_cache.clear()
-        self._hops_cache.clear()
-
-    def set_observer(self, fn) -> None:
-        """Install (or clear, with None) the routing-decision observer."""
-        self._observer = fn
-
-    # -- construction -------------------------------------------------
-
-    def add_host(self, socket: int) -> None:
-        self._g.add_node((HOST, socket))
-
-    def add_stack(self, ref: StackRef) -> None:
-        self._g.add_node(ref)
-
-    def connect(self, a, b, link: Link) -> None:
-        if a not in self._g or b not in self._g:
-            raise TopologyError(f"unknown endpoint in {a} -- {b}")
-        self._g.add_edge(a, b, link=link)
-        self._invalidate_routes()
-
-    def set_planes(self, planes: Sequence[Iterable[StackRef]]) -> None:
+    def __init__(
+        self,
+        nodes: Iterable,
+        links: Iterable[tuple[object, object, Link]],
+        planes: Sequence[Iterable[StackRef]] = (),
+    ) -> None:
+        adj: dict[object, dict[object, Link]] = {n: {} for n in nodes}
+        for a, b, link in links:
+            if a not in adj or b not in adj:
+                raise TopologyError(f"unknown endpoint in {a} -- {b}")
+            adj[a][b] = adj[b][a] = link
+        self._adj = adj
         self._planes = tuple(frozenset(p) for p in planes)
-
-    # -- health overlay (fault injection) -------------------------------
-
-    def set_stack_down(self, ref: StackRef) -> None:
-        """Mark a stack as lost: it disappears from routing and enumeration."""
-        if ref not in self._g:
-            raise TopologyError(f"unknown stack {ref}")
-        self._down_stacks.add(ref)
-        self._invalidate_routes()
-
-    def revive_stack(self, ref: StackRef) -> None:
-        self._down_stacks.discard(ref)
-        self._invalidate_routes()
-
-    def is_down(self, ref) -> bool:
-        return ref in self._down_stacks
-
-    def set_link_health(self, a, b, factor: float) -> None:
-        """Scale a link's bandwidth: 1.0 healthy, 0.0 outage."""
-        if self.link_between(a, b) is None:
-            raise TopologyError(f"no link {a} -- {b}")
-        if not (0.0 <= factor <= 1.0):
-            raise TopologyError(f"bad link health {factor}")
-        self._link_health[frozenset((a, b))] = factor
-        self._invalidate_routes()
-
-    def set_plane_health(self, plane_index: int, factor: float) -> None:
-        """Degrade (or kill, factor=0) every Xe-Link edge inside a plane."""
-        try:
-            plane = self._planes[plane_index]
-        except IndexError:
-            raise TopologyError(f"no plane {plane_index}") from None
-        for a, b in itertools.combinations(sorted(plane), 2):
-            link = self.link_between(a, b)
-            if link is not None and link.kind is LinkKind.XELINK:
-                self.set_link_health(a, b, factor)
-
-    def link_health(self, a, b) -> float:
-        return self._link_health.get(frozenset((a, b)), 1.0)
-
-    def reset_health(self) -> None:
-        self._down_stacks.clear()
-        self._link_health.clear()
-        self._invalidate_routes()
-
-    @property
-    def has_degradation(self) -> bool:
-        return bool(self._down_stacks) or any(
-            f < 1.0 for f in self._link_health.values()
-        )
-
-    @property
-    def down_stacks(self) -> list[StackRef]:
-        return sorted(self._down_stacks)
-
-    @property
-    def degraded_links(self) -> list[tuple[object, object, float]]:
-        """(a, b, health) for every link whose health is below 1.0."""
-        out = []
-        for key, health in self._link_health.items():
-            if health < 1.0:
-                a, b = sorted(key, key=str)
-                out.append((a, b, health))
-        return sorted(out, key=lambda t: (str(t[0]), str(t[1])))
-
-    def _alive_view(self, nodes: Iterable) -> "nx.Graph":
-        """Subgraph over *nodes* excluding dead stacks and dead links."""
-        keep = [n for n in nodes if n not in self._down_stacks]
-        view = self._g.subgraph(keep)
-        dead_edges = [
-            tuple(key)
-            for key, health in self._link_health.items()
-            if health == 0.0
-        ]
-        if not dead_edges:
-            return view
-        return nx.restricted_view(view, [], dead_edges)
+        # Healthy routes per (src, dst).  The topology never changes, so
+        # nothing ever invalidates an entry.
+        self._routes: dict[tuple, list[Route]] = {}
 
     # -- queries --------------------------------------------------------
 
     @property
     def stacks(self) -> list[StackRef]:
-        return sorted(n for n in self._g.nodes if isinstance(n, StackRef))
-
-    @property
-    def alive_stacks(self) -> list[StackRef]:
-        return [s for s in self.stacks if s not in self._down_stacks]
+        return sorted(n for n in self._adj if isinstance(n, StackRef))
 
     @property
     def planes(self) -> tuple[frozenset[StackRef], ...]:
@@ -254,20 +156,26 @@ class Fabric:
         return self.plane_of(a) == self.plane_of(b)
 
     def link_between(self, a, b) -> Link | None:
-        data = self._g.get_edge_data(a, b)
-        return None if data is None else data["link"]
+        return self._adj.get(a, {}).get(b)
 
-    def _as_route(self, nodes: Sequence) -> Route:
-        hops = []
-        for u, v in zip(nodes, nodes[1:]):
-            link = self.link_between(u, v)
-            if link is None:  # pragma: no cover - guarded by nx paths
-                raise TopologyError(f"no link {u} -- {v}")
-            hops.append((u, v, link))
-        return Route(tuple(hops))
+    def xelink_neighbors(self, ref: StackRef) -> list[StackRef]:
+        return sorted(
+            nbr
+            for nbr, link in self._adj[ref].items()
+            if link.kind is LinkKind.XELINK
+        )
 
-    def routes(self, src, dst) -> list[Route]:
-        """All minimum-hop routes (plus ties) from *src* to *dst*.
+    # -- routing --------------------------------------------------------
+
+    def min_hop_routes(
+        self,
+        src,
+        dst,
+        down: Collection = (),
+        dead_links: Collection[frozenset] = (),
+    ) -> list[Route]:
+        """Every minimum-hop route from *src* to *dst*, sorted by
+        description, avoiding the *down* stacks and *dead_links*.
 
         Device-to-device routes never detour through a host socket (the
         driver moves GPU buffers over the GPU fabric); for cross-plane PVC
@@ -276,27 +184,185 @@ class Fabric:
         """
         if src == dst:
             raise TopologyError("src == dst")
-        cached = self._route_cache.get((src, dst))
-        if cached is not None:
-            return list(cached)
-        nodes = self._g.nodes
-        if isinstance(src, StackRef) and isinstance(dst, StackRef):
-            nodes = [n for n in self._g.nodes if isinstance(n, StackRef)]
-        graph = self._alive_view(nodes)
-        try:
-            shortest = nx.shortest_path_length(graph, src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            raise TopologyError(f"no route {src} -> {dst}") from None
-        routes = [
-            self._as_route(p)
-            for p in nx.all_simple_paths(graph, src, dst, cutoff=shortest)
-            if len(p) - 1 == shortest
-        ]
-        routes.sort(key=lambda r: (r.n_hops, r.describe()))
-        if not routes:  # pragma: no cover
+        adj = self._adj
+        if src not in adj or dst not in adj or src in down or dst in down:
             raise TopologyError(f"no route {src} -> {dst}")
-        self._route_cache[(src, dst)] = routes
-        return list(routes)
+        devices_only = isinstance(src, StackRef) and isinstance(dst, StackRef)
+        # Breadth-first levels from src, one whole level at a time, until
+        # dst is labelled: every level below dst's is then complete.
+        level = {src: 0}
+        frontier = [src]
+        while frontier and dst not in level:
+            reached = []
+            for u in frontier:
+                for v in adj[u]:
+                    if (
+                        v in level
+                        or v in down
+                        or (devices_only and not isinstance(v, StackRef))
+                        or frozenset((u, v)) in dead_links
+                    ):
+                        continue
+                    level[v] = level[u] + 1
+                    reached.append(v)
+            frontier = reached
+        if dst not in level:
+            raise TopologyError(f"no route {src} -> {dst}")
+        # Extend backwards from dst through every live link to a node one
+        # level nearer src: that enumerates all the shortest paths.
+        paths = [(dst,)]
+        for depth in range(level[dst] - 1, -1, -1):
+            paths = [
+                (u,) + path
+                for path in paths
+                for u in adj[path[0]]
+                if level.get(u) == depth
+                and frozenset((u, path[0])) not in dead_links
+            ]
+        routes = [
+            Route(tuple((u, v, adj[u][v]) for u, v in zip(path, path[1:])))
+            for path in paths
+        ]
+        routes.sort(key=Route.describe)
+        return routes
+
+    def routes(self, src, dst) -> list[Route]:
+        """All healthy minimum-hop routes from *src* to *dst*."""
+        cached = self._routes.get((src, dst))
+        if cached is None:
+            cached = self._routes[(src, dst)] = self.min_hop_routes(src, dst)
+        return list(cached)
+
+    def route(self, src, dst) -> Route:
+        """A deterministic best (minimum-hop, lexicographically first) route."""
+        return self.routes(src, dst)[0]
+
+    def host_route(self, socket: int, ref: StackRef) -> Route:
+        """Route from a host socket to a stack (via PCIe, + MDFI if needed)."""
+        return self.route((HOST, socket), ref)
+
+
+class FabricHealth:
+    """One fault injector's health overlay on a shared :class:`Fabric`.
+
+    Lost stacks and scaled links are recorded here, never on the fabric,
+    so any number of injectors degrade the same topology independently.
+    Routes that must avoid the overlay's dead stacks or links are cached
+    here as well.  Every mutator drops that cache, and only the owning
+    injector's ``_apply`` calls the mutators.
+    """
+
+    def __init__(self, fabric: Fabric) -> None:
+        self.fabric = fabric
+        self.down: set[StackRef] = set()
+        #: Bandwidth factor per link (``frozenset`` of its endpoints):
+        #: 1.0 healthy, 0.0 outage.
+        self.link_health: dict[frozenset, float] = {}
+        self._dead_links: set[frozenset] = set()
+        self._routes: dict[tuple, list[Route]] = {}
+
+    def set_stack_down(self, ref: StackRef) -> None:
+        """Mark a stack as lost: it disappears from routing and enumeration."""
+        if ref not in self.fabric.stacks:
+            raise TopologyError(f"unknown stack {ref}")
+        self.down.add(ref)
+        self._routes.clear()
+
+    def set_link_health(self, a, b, factor: float) -> None:
+        """Scale a link's bandwidth: 1.0 healthy, 0.0 outage."""
+        if self.fabric.link_between(a, b) is None:
+            raise TopologyError(f"no link {a} -- {b}")
+        if not (0.0 <= factor <= 1.0):
+            raise TopologyError(f"bad link health {factor}")
+        key = frozenset((a, b))
+        self.link_health[key] = factor
+        if factor == 0.0:
+            self._dead_links.add(key)
+        else:
+            self._dead_links.discard(key)
+        self._routes.clear()
+
+    def set_plane_health(self, plane_index: int, factor: float) -> None:
+        """Degrade (or kill, factor=0) every Xe-Link edge inside a plane."""
+        try:
+            plane = self.fabric.planes[plane_index]
+        except IndexError:
+            raise TopologyError(f"no plane {plane_index}") from None
+        for a, b in itertools.combinations(sorted(plane), 2):
+            link = self.fabric.link_between(a, b)
+            if link is not None and link.kind is LinkKind.XELINK:
+                self.set_link_health(a, b, factor)
+
+    def routes(self, src, dst) -> list[Route]:
+        """All minimum-hop routes that avoid dead stacks and links."""
+        if not self.down and not self._dead_links:
+            return self.fabric.routes(src, dst)
+        cached = self._routes.get((src, dst))
+        if cached is None:
+            cached = self._routes[(src, dst)] = self.fabric.min_hop_routes(
+                src, dst, self.down, self._dead_links
+            )
+        return list(cached)
+
+
+class FabricView:
+    """One engine's view of its node's fabric.
+
+    The shared topology, seen through the engine's fault overlay (an
+    empty one that nothing mutates on a clean engine), plus the engine's
+    own routing observer: called as ``fn(src, dst, route)`` on every
+    :meth:`route` decision, it must not call :meth:`route` back.
+    """
+
+    __slots__ = ("topology", "health", "_observer")
+
+    def __init__(
+        self,
+        topology: Fabric,
+        health: FabricHealth | None = None,
+        observer=None,
+    ) -> None:
+        self.topology = topology
+        self.health = health if health is not None else FabricHealth(topology)
+        self._observer = observer
+
+    # -- health ---------------------------------------------------------
+
+    def is_down(self, ref) -> bool:
+        return ref in self.health.down
+
+    def link_health(self, a, b) -> float:
+        return self.health.link_health.get(frozenset((a, b)), 1.0)
+
+    @property
+    def has_degradation(self) -> bool:
+        return bool(self.health.down) or any(
+            f < 1.0 for f in self.health.link_health.values()
+        )
+
+    @property
+    def down_stacks(self) -> list[StackRef]:
+        return sorted(self.health.down)
+
+    @property
+    def alive_stacks(self) -> list[StackRef]:
+        return [s for s in self.topology.stacks if not self.is_down(s)]
+
+    @property
+    def degraded_links(self) -> list[tuple[object, object, float]]:
+        """(a, b, health) for every link whose health is below 1.0."""
+        out = []
+        for key, health in self.health.link_health.items():
+            if health < 1.0:
+                a, b = sorted(key, key=str)
+                out.append((a, b, health))
+        return sorted(out, key=lambda t: (str(t[0]), str(t[1])))
+
+    # -- routing --------------------------------------------------------
+
+    def routes(self, src, dst) -> list[Route]:
+        """All minimum-hop routes (plus ties) over the live fabric."""
+        return self.health.routes(src, dst)
 
     def route(self, src, dst) -> Route:
         """A deterministic best (minimum-hop, lexicographically first) route."""
@@ -305,24 +371,17 @@ class Fabric:
             self._observer(src, dst, route)
         return route
 
+    def host_route(self, socket: int, ref: StackRef) -> Route:
+        """Route from a host socket to a stack (via PCIe, + MDFI if needed)."""
+        return self.route((HOST, socket), ref)
+
     def healthy_hops(self, src, dst) -> int:
-        """Minimum hop count ignoring the health overlay.
+        """Minimum hop count of the healthy topology.
 
         The degraded-routing model compares the current route against this
         baseline: extra hops forced by dead links cost relay efficiency.
         """
-        cached = self._hops_cache.get((src, dst))
-        if cached is not None:
-            return cached
-        nodes = self._g.nodes
-        if isinstance(src, StackRef) and isinstance(dst, StackRef):
-            nodes = [n for n in self._g.nodes if isinstance(n, StackRef)]
-        try:
-            hops = nx.shortest_path_length(self._g.subgraph(nodes), src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            raise TopologyError(f"no route {src} -> {dst}") from None
-        self._hops_cache[(src, dst)] = hops
-        return hops
+        return self.topology.route(src, dst).n_hops
 
     def is_route_degraded(self, src, dst) -> bool:
         """True when the best live route is longer than the healthy route
@@ -333,21 +392,6 @@ class Fabric:
         if route.n_hops > self.healthy_hops(src, dst):
             return True
         return any(self.link_health(u, v) < 1.0 for u, v, _ in route.hops)
-
-    def host_route(self, socket: int, ref: StackRef) -> Route:
-        """Route from a host socket to a stack (via PCIe, + MDFI if needed)."""
-        return self.route((HOST, socket), ref)
-
-    def degree(self, node) -> int:
-        return self._g.degree[node]
-
-    def xelink_neighbors(self, ref: StackRef) -> list[StackRef]:
-        out = []
-        for nbr in self._g.neighbors(ref):
-            link = self.link_between(ref, nbr)
-            if link is not None and link.kind is LinkKind.XELINK:
-                out.append(nbr)
-        return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -389,22 +433,20 @@ def build_pvc_fabric(
     siblings, all-to-all Xe-Link within each plane."""
     if len(socket_of_card) != n_cards:
         raise TopologyError("socket_of_card length mismatch")
-    fabric = Fabric()
-    for socket in sorted(set(socket_of_card)):
-        fabric.add_host(socket)
+    nodes: list = [(HOST, socket) for socket in sorted(set(socket_of_card))]
+    links = []
     for card in range(n_cards):
         s0, s1 = StackRef(card, 0), StackRef(card, 1)
-        fabric.add_stack(s0)
-        fabric.add_stack(s1)
-        fabric.connect((HOST, socket_of_card[card]), s0, Link(pcie))
-        fabric.connect(s0, s1, Link(LinkKind.MDFI, latency_s=0.5e-6))
+        nodes += [s0, s1]
+        links.append(((HOST, socket_of_card[card]), s0, Link(pcie)))
+        links.append((s0, s1, Link(LinkKind.MDFI, latency_s=0.5e-6)))
     if planes is None:
         planes = parity_planes(n_cards)
-    fabric.set_planes(planes)
-    for plane in fabric.planes:
-        for a, b in itertools.combinations(sorted(plane), 2):
-            fabric.connect(a, b, Link(LinkKind.XELINK, latency_s=1.5e-6))
-    return fabric
+    planes = [sorted(plane) for plane in planes]
+    for plane in planes:
+        for a, b in itertools.combinations(plane, 2):
+            links.append((a, b, Link(LinkKind.XELINK, latency_s=1.5e-6)))
+    return Fabric(nodes, links, planes)
 
 
 def build_single_device_fabric(
@@ -415,17 +457,17 @@ def build_single_device_fabric(
 ) -> Fabric:
     """Fabric for single-device cards (H100 node): PCIe per GPU plus an
     all-to-all GPU link (NVLink/NVSwitch abstracted as direct links)."""
-    fabric = Fabric()
-    for socket in sorted(set(socket_of_card)):
-        fabric.add_host(socket)
     refs = [StackRef(card, 0) for card in range(n_cards)]
-    for card, ref in enumerate(refs):
-        fabric.add_stack(ref)
-        fabric.connect((HOST, socket_of_card[card]), ref, Link(pcie))
-    for a, b in itertools.combinations(refs, 2):
-        fabric.connect(a, b, Link(gpu_link, latency_s=1.0e-6))
-    fabric.set_planes([refs])
-    return fabric
+    nodes = [(HOST, socket) for socket in sorted(set(socket_of_card))] + refs
+    links = [
+        ((HOST, socket_of_card[card]), ref, Link(pcie))
+        for card, ref in enumerate(refs)
+    ]
+    links += [
+        (a, b, Link(gpu_link, latency_s=1.0e-6))
+        for a, b in itertools.combinations(refs, 2)
+    ]
+    return Fabric(nodes, links, [refs])
 
 
 def build_dual_gcd_fabric(
@@ -435,18 +477,17 @@ def build_dual_gcd_fabric(
 ) -> Fabric:
     """Fabric for the MI250 node: each card's GCD 0 on PCIe, Infinity
     Fabric between sibling GCDs and xGMI between cards."""
-    fabric = Fabric()
-    for socket in sorted(set(socket_of_card)):
-        fabric.add_host(socket)
+    nodes: list = [(HOST, socket) for socket in sorted(set(socket_of_card))]
+    links = []
     for card in range(n_cards):
         g0, g1 = StackRef(card, 0), StackRef(card, 1)
-        fabric.add_stack(g0)
-        fabric.add_stack(g1)
-        fabric.connect((HOST, socket_of_card[card]), g0, Link(pcie))
-        fabric.connect(g0, g1, Link(LinkKind.INFINITY_FABRIC, latency_s=1.0e-6))
-    for a, b in itertools.combinations(range(n_cards), 2):
-        fabric.connect(
-            StackRef(a, 0), StackRef(b, 0), Link(LinkKind.XGMI, latency_s=1.5e-6)
+        nodes += [g0, g1]
+        links.append(((HOST, socket_of_card[card]), g0, Link(pcie)))
+        links.append(
+            (g0, g1, Link(LinkKind.INFINITY_FABRIC, latency_s=1.0e-6))
         )
-    fabric.set_planes(parity_planes(n_cards))
-    return fabric
+    links += [
+        (StackRef(a, 0), StackRef(b, 0), Link(LinkKind.XGMI, latency_s=1.5e-6))
+        for a, b in itertools.combinations(range(n_cards), 2)
+    ]
+    return Fabric(nodes, links, parity_planes(n_cards))

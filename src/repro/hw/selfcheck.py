@@ -17,7 +17,7 @@ from .node import Node
 from .systems import System
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..faults.injectors import FaultInjector
+    from ..sim.engine import PerfEngine
 
 __all__ = ["CheckResult", "self_check", "HealthReport", "node_health"]
 
@@ -188,12 +188,11 @@ class HealthReport:
         return "\n".join(lines)
 
 
-def node_health(
-    system: System, faults: "FaultInjector | None" = None
-) -> HealthReport:
-    """Assess a node's current health (fabric overlay + fault history)."""
+def node_health(engine: "PerfEngine") -> HealthReport:
+    """Assess a node's health as *engine* sees it: its fabric view (the
+    shared topology through its injector's overlay) plus fault history."""
+    system, faults, fabric = engine.system, engine.faults, engine.fabric
     node: Node = system.node
-    fabric = node.fabric
     dead = tuple(str(r) for r in fabric.down_stacks)
     degraded = tuple(
         f"{a} -- {b}: {health:.0%} of nominal bandwidth"

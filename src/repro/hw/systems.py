@@ -181,16 +181,29 @@ _ALIASES = {
 }
 
 
+#: Every system built so far, by canonical name.  A node model is fixed
+#: hardware and a System is immutable, so each factory runs at most once
+#: per process and every caller shares its result.
+_BUILT: dict[str, System] = {}
+
+
 def get_system(name: str) -> System:
-    """Look up a system by name (case-insensitive, aliases accepted)."""
+    """Look up a system by name (case-insensitive, aliases accepted).
+
+    Returns the same object on every call for the same system.
+    """
     key = name.strip().lower()
     key = _ALIASES.get(key, key)
-    try:
-        return _FACTORIES[key]()
-    except KeyError:
-        raise UnknownSystemError(
-            f"unknown system {name!r}; known: {', '.join(SYSTEM_NAMES)}"
-        ) from None
+    system = _BUILT.get(key)
+    if system is None:
+        try:
+            factory = _FACTORIES[key]
+        except KeyError:
+            raise UnknownSystemError(
+                f"unknown system {name!r}; known: {', '.join(SYSTEM_NAMES)}"
+            ) from None
+        system = _BUILT.setdefault(key, factory())
+    return system
 
 
 def all_systems() -> list[System]:

@@ -118,7 +118,7 @@ class P2PBandwidth(MicroBenchmark):
                     f"every {self.pair_class} stack pair has a lost endpoint"
                 )
             pairs = alive
-            fabric = engine.node.fabric
+            fabric = engine.fabric
             if fabric.has_degradation:
                 def _degraded(a: StackRef, b: StackRef) -> bool:
                     # Unroutable pairs are left in: measuring one raises

@@ -29,7 +29,7 @@ def _host_routable(engine: PerfEngine, ref: StackRef) -> bool:
     """Host traffic enters a card through stack 0 (Section II); losing
     that stack orphans its sibling even if the sibling still computes."""
     anchor = StackRef(ref.card, 0)
-    return not engine.node.fabric.is_down(anchor)
+    return not engine.fabric.is_down(anchor)
 
 __all__ = ["PcieBandwidth", "TRANSFER_BYTES"]
 

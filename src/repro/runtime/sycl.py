@@ -415,7 +415,8 @@ class SyclRuntime:
             else None
         )
         self.driver = ZeDriver(
-            engine.node, affinity_mask, hierarchy, profiler=profiler
+            engine.node, affinity_mask, hierarchy,
+            profiler=profiler, fabric=engine.fabric,
         )
         if self.driver.excluded and engine.faults is not None:
             engine.faults.note(

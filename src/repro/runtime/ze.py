@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from ..errors import AffinityError, DeviceLostError
 from ..hw.ids import StackRef
+from ..hw.interconnect import FabricView
 from ..hw.node import Node
 
 __all__ = ["ZeDriver", "ZeDevice", "parse_affinity_mask", "FLAT", "COMPOSITE"]
@@ -95,7 +96,11 @@ def parse_affinity_mask(mask: str, node: Node) -> list[StackRef]:
 
 
 class ZeDriver:
-    """Device discovery for one node under an optional affinity mask."""
+    """Device discovery for one node under an optional affinity mask.
+
+    Lost stacks are read from *fabric*, the engine's view of the node
+    (by default the healthy node fabric).
+    """
 
     def __init__(
         self,
@@ -104,6 +109,7 @@ class ZeDriver:
         hierarchy: str = FLAT,
         *,
         profiler=None,
+        fabric: FabricView | None = None,
     ) -> None:
         if hierarchy not in (FLAT, COMPOSITE):
             raise AffinityError(f"bad hierarchy {hierarchy!r}")
@@ -122,9 +128,11 @@ class ZeDriver:
             selected = parse_affinity_mask(affinity_mask, node)
         # Like the real driver, stacks that dropped off the bus simply do
         # not enumerate; callers see the survivors, densely renumbered.
-        self._visible = [r for r in selected if not node.fabric.is_down(r)]
+        if fabric is None:
+            fabric = FabricView(node.fabric)
+        self._visible = [r for r in selected if not fabric.is_down(r)]
         self.excluded: list[StackRef] = [
-            r for r in selected if node.fabric.is_down(r)
+            r for r in selected if fabric.is_down(r)
         ]
         if not self._visible:
             raise DeviceLostError(

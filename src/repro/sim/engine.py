@@ -24,6 +24,7 @@ from ..dtypes import ENGINE_MATRIX, Precision
 from ..errors import DeviceLostError
 from ..hw.frequency import WorkloadKind
 from ..hw.ids import StackRef
+from ..hw.interconnect import FabricView
 from ..hw.systems import System
 from .calibration import SystemCalibration, get_calibration
 from .kernel import KernelSpec
@@ -69,21 +70,25 @@ class PerfEngine:
         self.enable_tdp = enable_tdp
         self.faults = faults
         self.telemetry = telemetry
+        #: The shared fabric through this engine's fault overlay, with
+        #: this engine's routing observer.  Read it, never ``node.fabric``.
+        self.fabric = FabricView(
+            self.node.fabric,
+            faults.health if faults is not None else None,
+            self._on_route if telemetry is not None else None,
+        )
         self.transfers = TransferModel(
             self.node,
             self.cal,
+            fabric=self.fabric,
             enable_planes=enable_planes,
             enable_contention=enable_contention,
         )
-        if telemetry is not None:
-            self.node.fabric.set_observer(self._on_route)
 
     def _on_route(self, src: object, dst: object, route) -> None:
         """Fabric routing observer: one counter sample per decision."""
-        if self.telemetry is None:  # pragma: no cover - observer cleared
-            return
         degraded = any(
-            self.node.fabric.link_health(u, v) < 1.0
+            self.fabric.link_health(u, v) < 1.0
             for u, v, _ in route.hops
         )
         self.telemetry.metrics.inc(
@@ -378,10 +383,7 @@ class PerfEngine:
     ) -> float:
         if self.faults is not None:
             self.faults.check_stack(src, dst)
-            if (
-                self.node.fabric.has_degradation
-                and self.node.fabric.is_route_degraded(src, dst)
-            ):
+            if self.fabric.is_route_degraded(src, dst):
                 self.faults.note(
                     f"p2p {src} -> {dst} rerouted over degraded fabric"
                 )
@@ -391,7 +393,7 @@ class PerfEngine:
                 t, f"{self.system.name}:p2p:{src}:{dst}", rep
             )
         if self.telemetry is not None:
-            route = self.node.fabric.route(src, dst)
+            route = self.fabric.route(src, dst)
             # Label by the bottleneck link (the one the bandwidth model
             # charges): mdfi for on-card pairs, xelink across planes, ...
             slowest = min(

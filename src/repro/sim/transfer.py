@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from ..errors import TopologyError
 from ..hw.ids import StackRef
-from ..hw.interconnect import HOST, LinkKind, Route
+from ..hw.interconnect import FabricView, LinkKind, Route
 from ..hw.node import Node
 from .calibration import SystemCalibration
 from .contention import aggregate_rate
@@ -41,6 +41,8 @@ class TransferModel:
     modelled as directly connected (single Xe-Link hop) regardless of the
     plane wiring.  ``enable_contention=False`` drops the host aggregate
     caps, isolating their contribution to the full-node PCIe rows.
+    Routing reads *fabric*, the owning engine's view (by default the
+    healthy node fabric, unobserved).
     """
 
     def __init__(
@@ -48,10 +50,12 @@ class TransferModel:
         node: Node,
         cal: SystemCalibration,
         *,
+        fabric: FabricView | None = None,
         enable_planes: bool = True,
         enable_contention: bool = True,
     ) -> None:
         self.node = node
+        self.fabric = fabric if fabric is not None else FabricView(node.fabric)
         self.cal = cal
         self.enable_planes = enable_planes
         self.enable_contention = enable_contention
@@ -75,7 +79,7 @@ class TransferModel:
     # ------------------------------------------------------------------
 
     def _pcie_kind(self, ref: StackRef) -> LinkKind:
-        route = self.node.fabric.host_route(self.node.socket_of(ref), ref)
+        route = self.fabric.host_route(self.node.socket_of(ref), ref)
         for _, _, link in route.hops:
             if link.kind in (LinkKind.PCIE_GEN5_X16, LinkKind.PCIE_GEN4_X16):
                 return link.kind
@@ -123,7 +127,7 @@ class TransferModel:
     def host_transfer_time(
         self, ref: StackRef, nbytes: float, direction: str = "h2d"
     ) -> float:
-        route = self.node.fabric.host_route(self.node.socket_of(ref), ref)
+        route = self.fabric.host_route(self.node.socket_of(ref), ref)
         return nbytes / self.host_device_bw(ref, direction) + route.latency_s
 
     # ------------------------------------------------------------------
@@ -131,17 +135,17 @@ class TransferModel:
     # ------------------------------------------------------------------
 
     def p2p_route(self, src: StackRef, dst: StackRef) -> Route:
-        return self.node.fabric.route(src, dst)
+        return self.fabric.route(src, dst)
 
     def p2p_routes(self, src: StackRef, dst: StackRef) -> list[Route]:
-        return self.node.fabric.routes(src, dst)
+        return self.fabric.routes(src, dst)
 
     def pair_class(self, src: StackRef, dst: StackRef) -> str:
         """"local" for same-card stack pairs, "remote" otherwise."""
         return "local" if src.card == dst.card else "remote"
 
     def _bottleneck(self, route: Route) -> tuple[LinkKind, float]:
-        fabric = self.node.fabric
+        fabric = self.fabric
         best_kind, best_bw = None, float("inf")
         for u, v, link in route.hops:
             bw = self.achieved_link_bw(link.kind) * fabric.link_health(u, v)
@@ -165,7 +169,7 @@ class TransferModel:
             kind = self._remote_kind()
             uni = self.achieved_link_bw(kind)
         else:
-            fabric = self.node.fabric
+            fabric = self.fabric
             route = self.p2p_route(src, dst)
             kind, uni = self._bottleneck(route)
             if fabric.has_degradation:

@@ -34,7 +34,7 @@ class TestDeviceLoss:
         assert not inj.is_dead(ref)
         inj.tick(), inj.tick()
         assert inj.is_dead(ref)
-        assert engine.node.fabric.is_down(ref)
+        assert engine.fabric.is_down(ref)
         assert ref not in engine.alive_stacks()
 
     def test_check_stack_raises(self):
@@ -61,7 +61,7 @@ class TestDeviceLoss:
             FaultEvent(FaultKind.DEVICE_LOSS, at=1, target=ref)
         )
         inj.fast_forward()
-        fabric = engine.node.fabric
+        fabric = engine.fabric
         with pytest.raises(TopologyError):
             fabric.route(StackRef(0, 0), ref)
 
@@ -73,7 +73,7 @@ class TestFabricDegradation:
         )
         clean = PerfEngine(get_system("aurora"), noise=QUIET)
         inj.fast_forward()
-        fabric = engine.node.fabric
+        fabric = engine.fabric
         # Find a pair whose route got longer and check the relay penalty.
         hit = [
             (a, b)
@@ -93,7 +93,7 @@ class TestFabricDegradation:
         )
         clean = PerfEngine(get_system("aurora"), noise=QUIET)
         inj.fast_forward()
-        fabric = engine.node.fabric
+        fabric = engine.fabric
         degraded = [
             (a, b, f) for a, b, f in fabric.degraded_links if f == 0.5
         ]
@@ -112,18 +112,24 @@ class TestFabricDegradation:
         )
         inj.fast_forward()
         with pytest.raises(TopologyError):
-            engine.node.fabric.route(a, b)
+            engine.fabric.route(a, b)
 
-    def test_reset_health_restores(self):
+    def test_overlay_is_per_injector(self):
         engine, inj = _injector(
             FaultEvent(FaultKind.DEVICE_LOSS, at=1, target=StackRef(0, 0)),
             FaultEvent(FaultKind.PLANE_OUTAGE, at=1, target=0, magnitude=0.0),
         )
+        other, other_inj = _injector(
+            FaultEvent(FaultKind.DEVICE_LOSS, at=1, target=StackRef(0, 0)),
+        )
         inj.fast_forward()
-        assert engine.node.fabric.has_degradation
-        inj.restore()
-        assert not engine.node.fabric.has_degradation
-        assert not inj.dead_stacks
+        assert engine.fabric.has_degradation
+        assert inj.dead_stacks == [StackRef(0, 0)]
+        # Same shared System, different injector: nothing leaked.
+        assert other.system is engine.system
+        assert not other.fabric.has_degradation
+        assert not other_inj.dead_stacks
+        assert not PerfEngine(engine.system).fabric.has_degradation
 
 
 class TestThrottle:

@@ -135,11 +135,12 @@ class TestBuilders:
         with pytest.raises(TopologyError):
             build_pvc_fabric(4, (0, 0, 1))
 
-    def test_connect_unknown_endpoint_rejected(self):
-        f = Fabric()
-        f.add_host(0)
+    def test_link_to_unknown_endpoint_rejected(self):
         with pytest.raises(TopologyError):
-            f.connect((HOST, 0), StackRef(0, 0), Link(LinkKind.MDFI))
+            Fabric(
+                [(HOST, 0)],
+                [((HOST, 0), StackRef(0, 0), Link(LinkKind.MDFI))],
+            )
 
     def test_xelink_neighbors(self):
         f = _aurora_fabric()

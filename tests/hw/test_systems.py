@@ -1,11 +1,32 @@
 """System factories must match the node inventories of Section III."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.core.units import GB
 from repro.dtypes import Precision
 from repro.errors import UnknownSystemError
+from repro.hw.interconnect import Fabric
 from repro.hw.systems import SYSTEM_NAMES, all_systems, get_system
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
+
+
+def _run_python(code: str, cwd) -> str:
+    """Run *code* in a fresh interpreter and return its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 class TestInventory:
@@ -99,3 +120,71 @@ class TestLookup:
     def test_describe_mentions_hardware(self):
         text = get_system("aurora").node.describe()
         assert "Max 1550" in text and "12" in text
+
+
+class TestSharedSystems:
+    def test_one_object_per_system(self):
+        for name in SYSTEM_NAMES:
+            assert get_system(name) is get_system(name)
+        assert get_system("H100") is get_system("jlse-h100")
+        for system, name in zip(all_systems(), SYSTEM_NAMES):
+            assert system is get_system(name)
+
+    def test_shared_fabric_exposes_no_mutator(self):
+        fabric = get_system("aurora").node.fabric
+        for name in (
+            "connect", "add_host", "add_stack", "set_planes",
+            "set_stack_down", "set_link_health", "set_plane_health",
+            "revive_stack", "reset_health", "set_observer",
+            "_route_generation", "_invalidate_routes",
+        ):
+            assert not hasattr(fabric, name), name
+        assert not any(
+            attr.startswith("set_") for attr in dir(Fabric)
+        )
+
+    def test_each_factory_runs_at_most_once_per_process(self, tmp_path):
+        out = _run_python(
+            """
+            import json
+            from repro.hw import systems
+
+            calls = dict.fromkeys(systems._FACTORIES, 0)
+
+            def counting(name, factory):
+                def build():
+                    calls[name] += 1
+                    return factory()
+                return build
+
+            for name, factory in list(systems._FACTORIES.items()):
+                systems._FACTORIES[name] = counting(name, factory)
+
+            from repro.campaign.orchestrator import Orchestrator
+            from repro.campaign.spec import get_spec
+            from repro.sweep.runner import run_sweep
+            from repro.sweep.spec import load_sweep_spec
+
+            run_sweep(load_sweep_spec("ci"), out_dir="sweep")
+            smoke = get_spec("smoke")
+            code = Orchestrator("campaign", spec=smoke, jobs=1).run()
+            print(json.dumps({"calls": calls, "exit": int(code)}))
+            """,
+            tmp_path,
+        )
+        result = json.loads(out.splitlines()[-1])
+        assert result["exit"] == 0
+        assert set(result["calls"]) == set(SYSTEM_NAMES)
+        assert all(n <= 1 for n in result["calls"].values()), result
+        assert sum(result["calls"].values()) >= 1
+
+    def test_cli_import_leaves_networkx_out(self, tmp_path):
+        out = _run_python(
+            """
+            import sys
+            import repro.cli
+            print("networkx" in sys.modules)
+            """,
+            tmp_path,
+        )
+        assert out.strip() == "False"
