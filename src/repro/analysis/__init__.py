@@ -14,7 +14,13 @@ from .figures import (
     render_figure,
     render_ratio_points,
 )
-from .report import claims_markdown, full_report, table2_markdown, table6_markdown
+from .report import (
+    claims_markdown,
+    full_report,
+    render_bench,
+    table2_markdown,
+    table6_markdown,
+)
 from .roofline_data import KernelPoint, RooflineSeries, paper_kernels, roofline_series
 from .scaling_study import ScalingPoint, ScalingStudy, app_scaling, micro_scaling
 from .paper_values import (
@@ -48,6 +54,7 @@ __all__ = [
     "FIGURE_TITLES",
     "claims_markdown",
     "full_report",
+    "render_bench",
     "table2_markdown",
     "table6_markdown",
     "KernelPoint",

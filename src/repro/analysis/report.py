@@ -11,15 +11,39 @@ from __future__ import annotations
 import io
 
 from ..dtypes import Precision
+from ..errors import CampaignError
 from ..hw.systems import get_system
 from ..sim.engine import PerfEngine
 from ..sim.noise import QUIET
 from .compare import all_claims
-from .figures import figure1, figure2, figure3, figure4
+from .figures import figure1, figure2, figure3, figure4, render_figure
 from .paper_values import TABLE_II, TABLE_VI
-from .tables import table_iii, table_iv, table_v, table_vi
+from .tables import table_i, table_ii, table_iii, table_iv, table_v, table_vi
 
-__all__ = ["full_report", "table2_markdown", "table6_markdown", "claims_markdown"]
+__all__ = [
+    "claims_markdown",
+    "full_report",
+    "render_bench",
+    "table2_markdown",
+    "table6_markdown",
+]
+
+#: The paper artifacts :func:`render_bench` renders: the CLI commands of the
+#: same names and the benchmark daemon's ``bench`` requests.  Each is a
+#: pure function of ``(command, scenario, seed)``.
+_BENCH_COMMANDS = (
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "report",
+)
 
 _GEMM = {
     "dgemm": Precision.FP64,
@@ -216,3 +240,27 @@ def full_report(ctx=None) -> str:
     if ctx is not None and ctx.active:
         parts += ["## Fault injection", "", fault_injection_markdown(ctx)]
     return "\n".join(parts)
+
+
+def render_bench(command: str, ctx=None) -> str:
+    """One paper artifact as text; ``ctx`` carries any injected faults."""
+    if command == "table1":
+        return table_i()
+    if command == "table2":
+        return table_ii(ctx=ctx).render()
+    if command == "table3":
+        return table_iii(ctx=ctx).render()
+    if command == "table4":
+        return table_iv().render()
+    if command == "table5":
+        return table_v()
+    if command == "table6":
+        return table_vi(ctx=ctx).render()
+    if command == "report":
+        return full_report(ctx)
+    if command in ("fig1", "fig2", "fig3", "fig4"):
+        return render_figure(command)
+    raise CampaignError(
+        f"unknown bench command {command!r}; choose from: "
+        + ", ".join(_BENCH_COMMANDS)
+    )

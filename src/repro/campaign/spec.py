@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from ..errors import CampaignError
 from ..ioutils import canonical_json, sha256_text
+from ..names import SPEC_NAMES
 
 __all__ = ["CampaignUnit", "CampaignSpec", "SPEC_NAMES", "get_spec"]
 
@@ -217,9 +218,8 @@ def smoke_spec() -> CampaignSpec:
     return CampaignSpec("smoke", tuple(units))
 
 
+#: Keyed by :data:`repro.names.SPEC_NAMES`.
 _SPECS = {"paper": paper_spec, "smoke": smoke_spec}
-
-SPEC_NAMES: tuple[str, ...] = tuple(sorted(_SPECS))
 
 
 def get_spec(name: str) -> CampaignSpec:

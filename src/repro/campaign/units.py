@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from ..analysis import render_figure, table_i, table_iv, table_v
+from ..analysis import tables as table_drivers
 from ..core.result import CellStatus, ResultTable
 from ..core.units import Quantity
 from ..errors import CampaignError
@@ -176,8 +178,6 @@ def _execute_table(
 ) -> dict:
     telemetry = Telemetry(unit=unit.id, profile=profile)
     ctx = ExecutionContext(scenario, seed, telemetry=telemetry)
-    from ..analysis import tables as table_drivers
-
     _, driver_name = TABLE_DRIVERS[unit.table]
     driver = getattr(table_drivers, driver_name)
     table = driver(systems=(unit.system,), ctx=ctx)
@@ -230,8 +230,6 @@ def _execute_render(unit, dep_payloads: Sequence[dict]) -> dict:
 
 
 def _execute_static(unit) -> dict:
-    from ..analysis import table_i, table_iv, table_v
-
     text = {
         "table1": table_i,
         "table4": lambda: table_iv().render(),
@@ -248,8 +246,6 @@ def _execute_static(unit) -> dict:
 
 
 def _execute_figure(unit) -> dict:
-    from ..analysis import render_figure
-
     return _payload(
         unit,
         CellStatus.OK,

@@ -76,28 +76,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-from .analysis import (
-    all_claims,
-    full_report,
-    render_figure,
-    table_i,
-    table_ii,
-    table_iii,
-    table_iv,
-    table_v,
-    table_vi,
-)
-from .campaign.spec import SPEC_NAMES
-from .errors import ReproError, UnknownBenchmarkError
+from .errors import ReproError
 from .exitcodes import ExitCode, classify_error
-from .faults import (
+from .names import (
     CAMPAIGN_SCENARIO_NAMES,
     SCENARIO_NAMES,
+    SPEC_NAMES,
     WORKER_SCENARIO_NAMES,
-    ExecutionContext,
+    check_scenario,
 )
-from .hw.systems import all_systems
+
+if TYPE_CHECKING:  # pragma: no cover - a command imports what it runs
+    from .faults import ExecutionContext
 
 __all__ = ["main"]
 
@@ -129,6 +121,10 @@ def _cmd_profile(args) -> int:
     write/compare perf-regression baselines (a regression raises the
     exit code to the MEASUREMENT tier).
     """
+    if args.bench == "service":
+        return _cmd_profile_service(args)
+    if args.bench == "sweep":
+        return _cmd_profile_sweep(args)
     from .ioutils import atomic_write_text
     from .profiler.baseline import (
         build_snapshot,
@@ -143,10 +139,6 @@ def _cmd_profile(args) -> int:
     )
     from .profiler.flamegraph import collapsed_stacks
 
-    if args.bench == "service":
-        return _cmd_profile_service(args)
-    if args.bench == "sweep":
-        return _cmd_profile_sweep(args)
     campaign_entries: list[dict] = []
     if args.bench in ("smoke", "full"):
         runs = profile_smoke_set(scenario=args.inject, seed=args.seed)
@@ -370,7 +362,15 @@ def _cmd_metrics(ctx: ExecutionContext, args) -> None:
             )
 
 
+def _print_bench(command: str, ctx: ExecutionContext | None = None) -> None:
+    from .analysis import render_bench
+
+    print(render_bench(command, ctx))
+
+
 def _cmd_claims() -> None:
+    from .analysis import all_claims
+
     ok = 0
     claims = all_claims()
     for c in claims:
@@ -381,6 +381,8 @@ def _cmd_claims() -> None:
 
 
 def _cmd_systems() -> None:
+    from .hw.systems import all_systems
+
     for system in all_systems():
         print(system.node.describe())
         print(f"    software: {system.software}")
@@ -511,10 +513,10 @@ def _cmd_top500() -> None:
 # Commands that honour --inject take the execution context; the rest are
 # zero-arg and run exactly as before.
 _CTX_COMMANDS = {
-    "table2": lambda ctx: print(table_ii(ctx=ctx).render()),
-    "table3": lambda ctx: print(table_iii(ctx=ctx).render()),
-    "table6": lambda ctx: print(table_vi(ctx=ctx).render()),
-    "report": lambda ctx: print(full_report(ctx)),
+    "table2": lambda ctx: _print_bench("table2", ctx),
+    "table3": lambda ctx: _print_bench("table3", ctx),
+    "table6": lambda ctx: _print_bench("table6", ctx),
+    "report": lambda ctx: _print_bench("report", ctx),
     "health": _cmd_health,
 }
 
@@ -525,15 +527,15 @@ _TELEMETRY_COMMANDS = {
 }
 
 _COMMANDS = {
-    "table1": lambda: print(table_i()),
-    "table4": lambda: print(table_iv().render()),
-    "table5": lambda: print(table_v()),
+    "table1": lambda: _print_bench("table1"),
+    "table4": lambda: _print_bench("table4"),
+    "table5": lambda: _print_bench("table5"),
     # Figures render through the same text path the campaign result
     # store uses, so campaign artifacts are byte-identical to stdout.
-    "fig1": lambda: print(render_figure("fig1")),
-    "fig2": lambda: print(render_figure("fig2")),
-    "fig3": lambda: print(render_figure("fig3")),
-    "fig4": lambda: print(render_figure("fig4")),
+    "fig1": lambda: _print_bench("fig1"),
+    "fig2": lambda: _print_bench("fig2"),
+    "fig3": lambda: _print_bench("fig3"),
+    "fig4": lambda: _print_bench("fig4"),
     "claims": _cmd_claims,
     "systems": _cmd_systems,
     "roofline": _cmd_roofline,
@@ -541,6 +543,19 @@ _COMMANDS = {
     "selfcheck": _cmd_selfcheck,
     "scaling": _cmd_scaling,
 }
+
+#: Commands that build no execution context, so never honour --inject
+#: (``profile`` is named with its bench).
+_IGNORES_INJECT = (
+    "loadgen",
+    "obs",
+    "profile service",
+    "profile sweep",
+    "serve-bench",
+    "service",
+    "sweep",
+    "trend",
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -818,6 +833,12 @@ def main(argv: list[str] | None = None) -> int:
     else:
         telemetry = None
     try:
+        name = args.command
+        if name == "profile":
+            name = f"profile {args.bench}"
+        if args.inject is not None and name in _IGNORES_INJECT:
+            check_scenario(args.inject)
+            print(f"pvc-bench: note: {name} ignores --inject", file=sys.stderr)
         if args.command == "profile":
             return _cmd_profile(args)
         if args.command == "campaign":
@@ -862,6 +883,8 @@ def main(argv: list[str] | None = None) -> int:
             from .obs.trend import trend_main
 
             return trend_main(args)
+        from .faults import ExecutionContext
+
         ctx = ExecutionContext(args.inject, args.seed, telemetry=telemetry)
         if args.command in _TELEMETRY_COMMANDS:
             _TELEMETRY_COMMANDS[args.command](ctx, args)

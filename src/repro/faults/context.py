@@ -14,9 +14,9 @@ from ..core.result import CellStatus
 from ..hw.systems import System, get_system
 from ..sim.engine import PerfEngine
 from ..sim.memo import MemoCache
-from ..errors import ScenarioError
+from ..names import check_scenario
 from .injectors import FaultInjector
-from .scenarios import SCENARIO_NAMES, build_plan
+from .scenarios import build_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..telemetry.session import Telemetry
@@ -43,11 +43,7 @@ class ExecutionContext:
         seed: int = 0,
         telemetry: "Telemetry | None" = None,
     ) -> None:
-        if scenario is not None and scenario not in SCENARIO_NAMES:
-            raise ScenarioError(
-                f"unknown fault scenario {scenario!r}; choose from: "
-                + ", ".join(SCENARIO_NAMES)
-            )
+        check_scenario(scenario)
         self.scenario = scenario
         self.seed = seed
         self.telemetry = telemetry

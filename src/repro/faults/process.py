@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..errors import ScenarioError
+from ..names import WORKER_SCENARIO_NAMES
 from .plan import SeededDraw
 
 __all__ = [
@@ -59,14 +60,6 @@ DEFAULT_POISON_CRASHES = 3
 #: the supervisor must drain and commit the queued outcome instead of
 #: re-running the unit).
 KILL_POINTS = ("start", "done")
-
-#: Orchestrator ``--inject`` scenarios built by :func:`build_worker_plan`.
-WORKER_SCENARIO_NAMES = (
-    "worker-kill",
-    "worker-hang",
-    "worker-poison",
-    "io-enospc",
-)
 
 #: Transient-failure depth for ``io-enospc``: each scheduled op fails
 #: this many consecutive attempts, comfortably inside the

@@ -14,6 +14,7 @@ from typing import Callable
 from ..errors import ScenarioError
 from ..hw.ids import StackRef
 from ..hw.node import Node
+from ..names import CAMPAIGN_SCENARIO_NAMES, SCENARIO_NAMES
 from .plan import FaultEvent, FaultKind, FaultPlan, SeededDraw
 
 __all__ = [
@@ -104,6 +105,7 @@ def _mpi_corrupt(draw: SeededDraw, node: Node) -> list[FaultEvent]:
     return [FaultEvent(FaultKind.MPI_CORRUPT, at=op) for op in ops]
 
 
+#: Keyed by :data:`repro.names.SCENARIO_NAMES` (all but ``all``).
 _BUILDERS: dict[str, Callable[[SeededDraw, Node], list[FaultEvent]]] = {
     "device-loss": _device_loss,
     "plane-outage": _plane_outage,
@@ -119,15 +121,6 @@ _BUILDERS: dict[str, Callable[[SeededDraw, Node], list[FaultEvent]]] = {
 #: Everything except ``partition`` (which intentionally makes pairs
 #: unroutable, i.e. produces FAILED cells rather than degraded ones).
 _ALL = tuple(name for name in _BUILDERS if name != "partition")
-
-SCENARIO_NAMES: tuple[str, ...] = tuple(sorted(_BUILDERS)) + ("all",)
-
-#: Orchestrator-level scenarios: instead of perturbing the simulated
-#: hardware they kill the campaign driver itself, to prove the journal
-#: and resume path recover.  ``crash-midrun`` stops the orchestrator
-#: abruptly after a seeded unit; ``journal-truncate`` additionally tears
-#: the last journal record, simulating a power cut mid-append.
-CAMPAIGN_SCENARIO_NAMES: tuple[str, ...] = ("crash-midrun", "journal-truncate")
 
 
 @dataclass(frozen=True, slots=True)

@@ -50,6 +50,13 @@ class TestSchedules:
     def test_spec_names(self):
         assert SPEC_NAMES == ("paper", "smoke")
 
+    def test_spec_names_match_builders(self):
+        # The parser offers repro.names.SPEC_NAMES without importing
+        # this package, so the tuple and the builders must agree.
+        from repro.campaign.spec import _SPECS
+
+        assert SPEC_NAMES == tuple(sorted(_SPECS))
+
     def test_smoke_spec_shape(self):
         spec = get_spec("smoke")
         assert [u.id for u in spec.execution_order()] == [

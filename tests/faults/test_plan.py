@@ -51,6 +51,13 @@ class TestFaultClock:
 
 
 class TestScenarios:
+    def test_scenario_names_match_builders(self):
+        # The parser offers repro.names.SCENARIO_NAMES without importing
+        # this package, so the tuple and the builders must agree.
+        from repro.faults.scenarios import _BUILDERS
+
+        assert SCENARIO_NAMES == tuple(sorted(_BUILDERS)) + ("all",)
+
     @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
     def test_same_seed_same_schedule(self, scenario):
         node = get_system("aurora").node

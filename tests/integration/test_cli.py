@@ -1,5 +1,7 @@
 """CLI smoke tests (every subcommand)."""
 
+import importlib
+
 import pytest
 
 from repro.cli import main
@@ -58,7 +60,52 @@ class TestCli:
             main(["table9"])
 
 
+#: Commands that build no execution context, each with the entry point
+#: it dispatches to (stubbed, so the test runs none of them).
+_CONTEXT_FREE = [
+    (["sweep", "ci"], "repro.sweep.runner", "sweep_main"),
+    (["trend", "a.json"], "repro.obs.trend", "trend_main"),
+    (["obs", "export"], "repro.obs.export", "export_main"),
+    (["service", "watch"], "repro.obs.watch", "service_watch_main"),
+    (["loadgen"], "repro.service.loadgen", "loadgen_main"),
+    (["serve-bench"], "repro.service.daemon", "serve_bench_main"),
+    (["profile", "sweep"], "repro.sweep.runner", "sweep_benchmark_entries"),
+    (["profile", "service"], "repro.service.loadgen",
+     "service_benchmark_entries"),
+]
+
+
 class TestFaultInjectionCli:
+    @pytest.mark.parametrize(
+        "argv, module, entry",
+        _CONTEXT_FREE,
+        ids=["-".join(c[0][:2]) if c[0][0] == "profile" else c[0][0]
+             for c in _CONTEXT_FREE],
+    )
+    def test_context_free_command_checks_inject(
+        self, argv, module, entry, monkeypatch, capsys
+    ):
+        calls = []
+
+        def stub(*args, **kwargs):
+            calls.append(args)
+            return [] if entry.endswith("_entries") else 0
+
+        monkeypatch.setattr(importlib.import_module(module), entry, stub)
+        # An unknown scenario is a usage error; the command never runs.
+        assert main(argv + ["--inject", "bogus"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "pvc-bench: ScenarioError: unknown fault scenario 'bogus'"
+        )
+        assert calls == []
+        # A valid one runs the command, with a note that it is ignored.
+        assert main(argv + ["--inject", "device-loss"]) == 0
+        name = " ".join(argv) if argv[0] == "profile" else argv[0]
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"pvc-bench: note: {name} ignores --inject"
+        )
+        assert len(calls) == 1
+
     def test_device_loss_degrades_but_completes(self, capsys):
         # Acceptance: the full suite completes, affected cells are marked
         # DEGRADED with provenance, and the exit code is 1 — no traceback.
