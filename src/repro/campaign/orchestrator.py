@@ -913,20 +913,20 @@ class Orchestrator:
 # ----------------------------------------------------------------------
 
 def campaign_main(args) -> int:
-    """Dispatch ``pvc-bench campaign <run|resume|status|verify|watch>``."""
-    action = args.bench
-    if action not in ("run", "resume", "status", "verify", "watch"):
-        raise CampaignError(
-            f"unknown campaign action {action!r}; "
-            "choose from: run, resume, status, verify, watch"
-        )
-    if action == "watch":
-        from ..obs.watch import watch_main
-
-        return watch_main(args)
+    """Dispatch ``pvc-bench campaign <run|resume|status|verify>``."""
     if not args.dir:
         raise CampaignError("campaign commands need --dir <directory>")
-    if action == "run":
+    if args.action in ("status", "verify"):
+        orch = Orchestrator(args.dir)
+        return int(orch.status() if args.action == "status" else orch.verify())
+    knobs = dict(
+        unit_timeout_s=args.unit_timeout,
+        deadline_s=args.deadline,
+        jobs=args.jobs,
+        max_respawns=args.max_respawns,
+        hang_timeout_s=args.hang_timeout,
+    )
+    if args.action == "run":
         spec = get_spec(args.spec)
         scenario, plan, worker_plan = args.inject, None, None
         if scenario is not None and scenario in CAMPAIGN_SCENARIO_NAMES:
@@ -949,26 +949,10 @@ def campaign_main(args) -> int:
             spec=spec,
             scenario=scenario,
             seed=args.seed,
-            unit_timeout_s=args.unit_timeout,
-            deadline_s=args.deadline,
             campaign_plan=plan,
-            profile=getattr(args, "profile", False),
-            jobs=getattr(args, "jobs", None),
+            profile=args.profile,
             worker_plan=worker_plan,
-            max_respawns=getattr(args, "max_respawns", None),
-            hang_timeout_s=getattr(args, "hang_timeout", None),
+            **knobs,
         )
         return int(orch.run())
-    orch = Orchestrator(
-        args.dir,
-        unit_timeout_s=args.unit_timeout,
-        deadline_s=args.deadline,
-        jobs=getattr(args, "jobs", None),
-        max_respawns=getattr(args, "max_respawns", None),
-        hang_timeout_s=getattr(args, "hang_timeout", None),
-    )
-    if action == "resume":
-        return int(orch.resume())
-    if action == "status":
-        return int(orch.status())
-    return int(orch.verify())
+    return int(Orchestrator(args.dir, **knobs).resume())

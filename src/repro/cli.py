@@ -85,15 +85,14 @@ from .names import (
     SCENARIO_NAMES,
     SPEC_NAMES,
     WORKER_SCENARIO_NAMES,
-    check_scenario,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - a command imports what it runs
     from .faults import ExecutionContext
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main"]
 
-#: Benchmarks the ``trace`` / ``metrics`` commands can run.  The plan is
+#: Benchmarks ``trace``, ``metrics`` and ``profile`` can run.  The plan is
 #: long enough (warmup + 30 reps = 32 injector ticks) that every fault
 #: scenario's trigger tick falls inside the run.
 _TELEMETRY_BENCHES = ("gemm", "triad", "p2p")
@@ -103,35 +102,45 @@ def _run_instrumented(ctx: ExecutionContext, args) -> None:
     """Run one benchmark with the full telemetry session attached."""
     from .profiler.driver import run_bench
 
-    result = run_bench(ctx, args.bench, args.system)
+    result = run_bench(ctx, args.benchmark, args.system)
     best = result.best
     print(
-        f"# {args.bench} on {args.system} [{result.scope.name}]: "
+        f"# {args.benchmark} on {args.system} [{result.scope.name}]: "
         f"best {best.work / best.elapsed_s:.4g} {best.unit} "
         f"over {len(result.samples)} samples",
         file=sys.stderr,
     )
 
 
+def _baseline_gate(args, snapshot) -> int:
+    """Write and/or compare a ``profile`` snapshot against a baseline.
+
+    Returns the MEASUREMENT exit code when the comparison regressed
+    beyond tolerance, else 0.
+    """
+    from .profiler.baseline import compare_snapshots, load_baseline, write_baseline
+
+    if args.write_baseline:
+        write_baseline(args.write_baseline, snapshot)
+        print(f"baseline written to {args.write_baseline}", file=sys.stderr)
+    if args.baseline:
+        comparison = compare_snapshots(load_baseline(args.baseline), snapshot)
+        print(comparison.render(), end="")
+        if comparison.regressed:
+            return int(ExitCode.MEASUREMENT)
+    return 0
+
+
 def _cmd_profile(args) -> int:
-    """``pvc-bench profile <bench>|smoke`` — iprof-style summaries.
+    """``pvc-bench profile <bench>|smoke|full`` — iprof-style summaries.
 
     Prints one iprof-style report per profiled run; optional riders
     export a collapsed-stack flamegraph, the raw profile documents, and
     write/compare perf-regression baselines (a regression raises the
     exit code to the MEASUREMENT tier).
     """
-    if args.bench == "service":
-        return _cmd_profile_service(args)
-    if args.bench == "sweep":
-        return _cmd_profile_sweep(args)
     from .ioutils import atomic_write_text
-    from .profiler.baseline import (
-        build_snapshot,
-        compare_snapshots,
-        load_baseline,
-        write_baseline,
-    )
+    from .profiler.baseline import build_snapshot
     from .profiler.driver import (
         profile_bench,
         profile_campaign_set,
@@ -139,19 +148,20 @@ def _cmd_profile(args) -> int:
     )
     from .profiler.flamegraph import collapsed_stacks
 
+    single = args.benchmark in _TELEMETRY_BENCHES
     campaign_entries: list[dict] = []
-    if args.bench in ("smoke", "full"):
+    if single:
+        runs = [
+            profile_bench(
+                args.benchmark, args.system, scenario=args.inject, seed=args.seed
+            )
+        ]
+    else:
         runs = profile_smoke_set(scenario=args.inject, seed=args.seed)
-        if args.bench == "full":
+        if args.benchmark == "full":
             # The campaign benchmark matrix: wall-clock at jobs 1 and 4
             # plus the sim memo cache's hit rate (a gated field).
             campaign_entries = profile_campaign_set()
-    else:
-        runs = [
-            profile_bench(
-                args.bench, args.system, scenario=args.inject, seed=args.seed
-            )
-        ]
     for run in runs:
         print(run.report())
     code = max(int(run.ctx.exit_code()) for run in runs)
@@ -190,26 +200,12 @@ def _cmd_profile(args) -> int:
     snapshot = build_snapshot(
         [run.entry() for run in runs] + campaign_entries
     )
-    if args.write_baseline:
-        write_baseline(args.write_baseline, snapshot)
-        print(f"baseline written to {args.write_baseline}", file=sys.stderr)
-    if args.baseline:
-        comparison = compare_snapshots(load_baseline(args.baseline), snapshot)
-        print(comparison.render(), end="")
-        if comparison.regressed:
-            code = max(code, int(ExitCode.MEASUREMENT))
-    if args.manifest is not None:
-        if len(runs) == 1:
-            from .telemetry.manifest import write_manifest
+    code = max(code, _baseline_gate(args, snapshot))
+    if single and args.manifest is not None:
+        from .telemetry.manifest import write_manifest
 
-            write_manifest(args.manifest, runs[0].ctx.manifest("profile"))
-            print(f"manifest written to {args.manifest}", file=sys.stderr)
-        else:
-            print(
-                "pvc-bench: note: --manifest applies to single-bench "
-                "profiles only",
-                file=sys.stderr,
-            )
+        write_manifest(args.manifest, runs[0].ctx.manifest("profile"))
+        print(f"manifest written to {args.manifest}", file=sys.stderr)
     return code
 
 
@@ -227,26 +223,20 @@ def _cmd_profile_service(args) -> int:
     import shutil
     import tempfile
 
-    from .profiler.baseline import (
-        build_snapshot,
-        compare_snapshots,
-        load_baseline,
-        write_baseline,
-    )
+    from .profiler.baseline import build_snapshot
     from .service.loadgen import service_benchmark_entries
 
     root = tempfile.mkdtemp(prefix="repro-profile-service-")
     try:
         entries = service_benchmark_entries(
             root,
-            requests=getattr(args, "requests", None) or 64,
-            concurrency=getattr(args, "concurrency", None) or 8,
-            distinct=getattr(args, "distinct", None) or 4,
+            requests=args.requests,
+            concurrency=args.concurrency,
+            distinct=args.distinct,
             seed=args.seed,
         )
     finally:
         shutil.rmtree(root, ignore_errors=True)
-    code = 0
     for entry in entries:
         print(
             f"{entry['bench']}@{entry['system']}: {entry['completed']}/"
@@ -254,16 +244,7 @@ def _cmd_profile_service(args) -> int:
             f"storm p99 {entry['storm_p99_s'] * 1e3:.1f}ms, cache hit "
             f"rate {entry['service_cache_hit_rate']:.1%}"
         )
-    snapshot = build_snapshot(entries, tolerance=0.5)
-    if args.write_baseline:
-        write_baseline(args.write_baseline, snapshot)
-        print(f"baseline written to {args.write_baseline}", file=sys.stderr)
-    if args.baseline:
-        comparison = compare_snapshots(load_baseline(args.baseline), snapshot)
-        print(comparison.render(), end="")
-        if comparison.regressed:
-            code = max(code, int(ExitCode.MEASUREMENT))
-    return code
+    return _baseline_gate(args, build_snapshot(entries, tolerance=0.5))
 
 
 def _cmd_profile_sweep(args) -> int:
@@ -278,15 +259,10 @@ def _cmd_profile_sweep(args) -> int:
     the profile fails outright — a slow batch path defeats the whole
     subsystem even on a machine with no baseline to compare against.
     """
-    from .profiler.baseline import (
-        build_snapshot,
-        compare_snapshots,
-        load_baseline,
-        write_baseline,
-    )
+    from .profiler.baseline import build_snapshot
     from .sweep.runner import SPEEDUP_FLOOR, sweep_benchmark_entries
 
-    entries = sweep_benchmark_entries(jobs=args.jobs or 1)
+    entries = sweep_benchmark_entries(jobs=args.jobs)
     code = 0
     for entry in entries:
         speedup = entry["batch_speedup"] or 0.0
@@ -307,15 +283,7 @@ def _cmd_profile_sweep(args) -> int:
     # Throughput figures are wall-clock; the snapshot uses the same
     # wide tolerance as the service storm gate.
     snapshot = build_snapshot(entries, tolerance=0.5)
-    if args.write_baseline:
-        write_baseline(args.write_baseline, snapshot)
-        print(f"baseline written to {args.write_baseline}", file=sys.stderr)
-    if args.baseline:
-        comparison = compare_snapshots(load_baseline(args.baseline), snapshot)
-        print(comparison.render(), end="")
-        if comparison.regressed:
-            code = max(code, int(ExitCode.MEASUREMENT))
-    return code
+    return max(code, _baseline_gate(args, snapshot))
 
 
 def _cmd_trace(ctx: ExecutionContext, args) -> None:
@@ -362,10 +330,10 @@ def _cmd_metrics(ctx: ExecutionContext, args) -> None:
             )
 
 
-def _print_bench(command: str, ctx: ExecutionContext | None = None) -> None:
+def _print_bench(ctx: ExecutionContext, args) -> None:
     from .analysis import render_bench
 
-    print(render_bench(command, ctx))
+    print(render_bench(args.command, ctx))
 
 
 def _cmd_claims() -> None:
@@ -405,36 +373,23 @@ def _cmd_health(ctx: ExecutionContext) -> None:
             report = node_health(PerfEngine(get_system(name)))
         print(report.render())
         print()
-    from .profiler.selfcheck import profiler_selfcheck
-
-    checks = profiler_selfcheck()
-    for check in checks:
-        mark = "ok " if check.passed else "FAIL"
-        print(f"[{mark}] profiler     {check.name}"
-              + (f"  ({check.detail})" if check.detail else ""))
-    if not all(check.passed for check in checks):
-        ctx.record(CellStatus.DEGRADED)
-    print()
     from .campaign.scheduler import scheduler_selfcheck
-
-    sched_checks = scheduler_selfcheck()
-    for check in sched_checks:
-        mark = "ok " if check.passed else "FAIL"
-        print(f"[{mark}] scheduler    {check.name}"
-              + (f"  ({check.detail})" if check.detail else ""))
-    if not all(check.passed for check in sched_checks):
-        ctx.record(CellStatus.DEGRADED)
-    print()
+    from .profiler.selfcheck import profiler_selfcheck
     from .service.selfcheck import service_selfcheck
 
-    svc_checks = service_selfcheck()
-    for check in svc_checks:
-        mark = "ok " if check.passed else "FAIL"
-        print(f"[{mark}] service      {check.name}"
-              + (f"  ({check.detail})" if check.detail else ""))
-    if not all(check.passed for check in svc_checks):
-        ctx.record(CellStatus.DEGRADED)
-    print()
+    for label, selfcheck in (
+        ("profiler", profiler_selfcheck),
+        ("scheduler", scheduler_selfcheck),
+        ("service", service_selfcheck),
+    ):
+        checks = selfcheck()
+        for check in checks:
+            mark = "ok " if check.passed else "FAIL"
+            print(f"[{mark}] {label:12s} {check.name}"
+                  + (f"  ({check.detail})" if check.detail else ""))
+        if not all(check.passed for check in checks):
+            ctx.record(CellStatus.DEGRADED)
+        print()
     print(ctx.telemetry_summary())
 
 
@@ -510,405 +465,489 @@ def _cmd_top500() -> None:
         )
 
 
-# Commands that honour --inject take the execution context; the rest are
-# zero-arg and run exactly as before.
-_CTX_COMMANDS = {
-    "table2": lambda ctx: _print_bench("table2", ctx),
-    "table3": lambda ctx: _print_bench("table3", ctx),
-    "table6": lambda ctx: _print_bench("table6", ctx),
-    "report": lambda ctx: _print_bench("report", ctx),
-    "health": _cmd_health,
-}
+def _run_in_context(args) -> int:
+    """Run a command's body in an execution context; write any manifest."""
+    from .faults import ExecutionContext
 
-# Commands that additionally need the parsed args (telemetry runs).
-_TELEMETRY_COMMANDS = {
-    "trace": _cmd_trace,
-    "metrics": _cmd_metrics,
-}
+    telemetry = None
+    if (
+        args.command in ("health", "metrics", "trace")
+        or args.manifest is not None
+        or args.profile
+    ):
+        from .telemetry import Telemetry
 
-_COMMANDS = {
-    "table1": lambda: _print_bench("table1"),
-    "table4": lambda: _print_bench("table4"),
-    "table5": lambda: _print_bench("table5"),
+        telemetry = Telemetry(profile=args.profile)
+    ctx = ExecutionContext(args.inject, args.seed, telemetry=telemetry)
+    args.body(ctx, args)
+    if args.manifest is not None:
+        from .telemetry.manifest import write_manifest
+
+        write_manifest(args.manifest, ctx.manifest(args.command))
+        print(f"manifest written to {args.manifest}", file=sys.stderr)
+    return ctx.exit_code()
+
+
+def _entry(args) -> int:
+    """Run a command family's entry point, imported only now."""
+    if args.command == "sweep":
+        from .sweep.runner import sweep_main as run
+    elif args.command == "trend":
+        from .obs.trend import trend_main as run
+    elif args.command == "serve-bench":
+        from .service.daemon import serve_bench_main as run
+    elif args.command == "loadgen":
+        from .service.loadgen import loadgen_main as run
+    elif args.command == "service":
+        from .obs.watch import service_watch_main as run
+    elif args.action == "watch":
+        from .obs.watch import watch_main as run
+    elif args.command == "campaign":
+        from .campaign.orchestrator import campaign_main as run
+    elif args.action == "export":
+        from .obs.export import export_main as run
+    else:
+        from .obs.serve import serve_main as run
+    return run(args)
+
+
+#: Commands that run in an execution context: name -> (body, whether it
+#: honours --inject, help).  A body takes the context and the args.
+_CONTEXT_COMMANDS = {
+    "table1": (_print_bench, False, "Table I: the microbenchmark summary"),
+    "table2": (_print_bench, True, "Table II: microbenchmark results"),
+    "table3": (_print_bench, True, "Table III: stack-to-stack P2P"),
+    "table4": (_print_bench, False, "Table IV: reference GPUs"),
+    "table5": (_print_bench, False, "Table V: mini-app descriptions"),
+    "table6": (_print_bench, True, "Table VI: mini-app / application FOMs"),
+    "report": (_print_bench, True, "the full markdown comparison report"),
     # Figures render through the same text path the campaign result
     # store uses, so campaign artifacts are byte-identical to stdout.
-    "fig1": lambda: _print_bench("fig1"),
-    "fig2": lambda: _print_bench("fig2"),
-    "fig3": lambda: _print_bench("fig3"),
-    "fig4": lambda: _print_bench("fig4"),
-    "claims": _cmd_claims,
-    "systems": _cmd_systems,
-    "roofline": _cmd_roofline,
-    "top500": _cmd_top500,
-    "selfcheck": _cmd_selfcheck,
-    "scaling": _cmd_scaling,
+    "fig1": (_print_bench, False, "Figure 1: memory-latency curves"),
+    "fig2": (_print_bench, False, "Figure 2: Aurora FOMs relative to Dawn"),
+    "fig3": (_print_bench, False, "Figure 3: FOMs relative to JLSE-H100"),
+    "fig4": (_print_bench, False, "Figure 4: FOMs relative to JLSE-MI250"),
+    "claims": (lambda ctx, args: _cmd_claims(), False,
+               "every checked prose claim"),
+    "systems": (lambda ctx, args: _cmd_systems(), False, "node inventories"),
+    "roofline": (lambda ctx, args: _cmd_roofline(), False,
+                 "per-system rooflines with the paper's kernels placed"),
+    "top500": (lambda ctx, args: _cmd_top500(), False,
+               "HPL/HPCG node models"),
+    "selfcheck": (lambda ctx, args: _cmd_selfcheck(), False,
+                  "structural self-checks of every system"),
+    "scaling": (lambda ctx, args: _cmd_scaling(), False,
+                "per-stack scaling studies"),
+    "health": (lambda ctx, args: _cmd_health(ctx), True,
+               "node, profiler, scheduler and service health"),
+    "trace": (_cmd_trace, True, "one benchmark as a Perfetto timeline"),
+    "metrics": (_cmd_metrics, True,
+                "one benchmark as a Prometheus text scrape"),
 }
 
-#: Commands that build no execution context, so never honour --inject
-#: (``profile`` is named with its bench).
-_IGNORES_INJECT = (
-    "loadgen",
-    "obs",
-    "profile service",
-    "profile sweep",
-    "serve-bench",
-    "service",
-    "sweep",
-    "trend",
+
+def _ranged(convert, ok, rule: str):
+    """An argparse ``type`` that converts, then enforces ``ok(value)``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in errors
+    return parse
+
+
+_AT_LEAST_1 = _ranged(int, lambda v: v >= 1, "must be >= 1")
+_AT_LEAST_0 = _ranged(int, lambda v: v >= 0, "must be >= 0")
+_PORT = _ranged(int, lambda v: 0 <= v <= 65535, "must be in 0..65535")
+_POSITIVE = _ranged(
+    float, lambda v: 0 < v < float("inf"), "must be a finite number > 0"
 )
+_FRACTION = _ranged(float, lambda v: 0 < v < 1, "must be in (0, 1)")
 
 
-def main(argv: list[str] | None = None) -> int:
+def _command(family, name: str, help_text: str, run):
+    """Register one command under *family*, dispatching to *run(args)*."""
+    sub = family.add_parser(name, help=help_text, description=help_text)
+    sub.set_defaults(run=run)
+    return sub
+
+
+def _add_counts(sub, *rows) -> None:
+    """Integer flags that must be >= 1, from ``(flag, default, help)``."""
+    for flag, default, text in rows:
+        sub.add_argument(
+            flag, type=_AT_LEAST_1, default=default, metavar="N",
+            help=f"{text} (default: %(default)s)",
+        )
+
+
+def _add_seed(sub, what: str) -> None:
+    sub.add_argument(
+        "--seed", type=int, default=0,
+        help=f"seed for the {what} (default: %(default)s)",
+    )
+
+
+def _add_inject(sub, scenarios: str) -> None:
+    sub.add_argument(
+        "--inject",
+        metavar="SCENARIO",
+        help=f"inject a deterministic fault scenario ({scenarios})",
+    )
+    _add_seed(sub, "fault schedule")
+
+
+def _add_manifest(sub) -> None:
+    sub.add_argument(
+        "--manifest", metavar="PATH",
+        help="also write a run manifest (config + metrics + provenance)",
+    )
+
+
+def _add_baseline(sub) -> None:
+    sub.add_argument(
+        "--baseline", metavar="PATH",
+        help="compare against this baseline snapshot; a regression "
+        "beyond tolerance exits non-zero",
+    )
+    sub.add_argument(
+        "--write-baseline", metavar="PATH",
+        help="write the run's snapshot as a new baseline",
+    )
+
+
+def _add_rundir(sub, what: str):
+    """A directory given positionally or as ``--dir``, never both."""
+    where = sub.add_mutually_exclusive_group()
+    where.add_argument(
+        "dir", nargs="?", metavar="DIR", default=argparse.SUPPRESS, help=what
+    )
+    where.add_argument("--dir", metavar="DIR", help="the same, as a flag")
+    return where
+
+
+def _add_follow(sub, what: str) -> None:
+    sub.add_argument(
+        "--interval", type=_POSITIVE, default=0.5, metavar="SECONDS",
+        help="poll interval (default: %(default)s)",
+    )
+    sub.add_argument(
+        "--once", action="store_true",
+        help=f"render one snapshot and exit instead of following the {what}",
+    )
+
+
+def _add_campaign(commands) -> None:
+    campaign = commands.add_parser(
+        "campaign", help="crash-safe campaigns (journal + checkpoint/resume)"
+    )
+    actions = campaign.add_subparsers(
+        dest="action", metavar="ACTION", required=True
+    )
+    run, resume, status, verify = (
+        _command(actions, name, text, _entry)
+        for name, text in (
+            ("run", "start a campaign in --dir"),
+            ("resume", "finish an interrupted campaign"),
+            ("status", "per-unit progress"),
+            ("verify", "prove journal and store integrity"),
+        )
+    )
+    for sub in (run, resume, status, verify):
+        sub.add_argument(
+            "--dir", metavar="DIR",
+            help="campaign directory (journal, result store, artifacts)",
+        )
+    run.add_argument(
+        "--spec", default="paper", choices=sorted(SPEC_NAMES),
+        help="campaign spec (default: %(default)s)",
+    )
+    _add_inject(
+        run,
+        f"{', '.join(SCENARIO_NAMES)}; the campaign "
+        f"{', '.join(CAMPAIGN_SCENARIO_NAMES)}; or the process-level "
+        f"{', '.join(WORKER_SCENARIO_NAMES)}",
+    )
+    run.add_argument(
+        "--profile", action="store_true",
+        help="attach the API profiler; unit results gain a profile digest",
+    )
+    for sub in (run, resume):
+        sub.add_argument(
+            "--unit-timeout", type=_POSITIVE, metavar="SECONDS",
+            help="per-unit simulated-clock watchdog: units that consume "
+            "more simulated seconds are demoted to FAILED",
+        )
+        sub.add_argument(
+            "--deadline", type=_POSITIVE, metavar="SECONDS",
+            help="campaign deadline on the simulated clock: scheduling "
+            "stops once exceeded and the run exits resumable (code 3)",
+        )
+        sub.add_argument(
+            "--jobs", type=_AT_LEAST_1, metavar="N",
+            help="execute independent units on N worker processes "
+            "(artifacts stay byte-identical to a serial run); defaults "
+            "to $CAMPAIGN_JOBS, else 1 (serial)",
+        )
+        sub.add_argument(
+            "--max-respawns", type=_AT_LEAST_0, metavar="N",
+            help="with --jobs > 1: worker respawn budget before the "
+            "scheduler degrades to in-process draining (default: 8)",
+        )
+        sub.add_argument(
+            "--hang-timeout", type=_POSITIVE, metavar="SECONDS",
+            help="with --jobs > 1: SIGKILL a worker whose unit produces "
+            "no heartbeat for this long and treat it as a crash "
+            "(default: disabled, except under --inject worker-hang)",
+        )
+    watch = _command(actions, "watch", "live campaign status board",
+                     _entry)
+    _add_rundir(watch, "campaign directory to watch")
+    _add_follow(watch, "run")
+
+
+def _add_profile(commands) -> None:
+    profile = commands.add_parser(
+        "profile", help="API profiles, roofline attribution, baseline gates"
+    )
+    benches = profile.add_subparsers(
+        dest="benchmark", metavar="BENCH", required=True
+    )
+    sets = {
+        "smoke": "every benchmark on both smoke systems",
+        "full": "the smoke set plus the campaign wall-clock/sim-cache matrix",
+    }
+    for name in _TELEMETRY_BENCHES + tuple(sets):
+        sub = _command(
+            benches, name, sets.get(name, f"profile one {name} run"),
+            _cmd_profile,
+        )
+        if name in _TELEMETRY_BENCHES:
+            sub.add_argument(
+                "--system", default="aurora",
+                help="system to run on (default: %(default)s)",
+            )
+            _add_manifest(sub)
+        _add_inject(sub, ", ".join(SCENARIO_NAMES))
+        sub.add_argument(
+            "--out", metavar="PATH", help="write the raw profile documents here"
+        )
+        sub.add_argument(
+            "--flamegraph", metavar="PATH",
+            help="export a deterministic collapsed-stack file "
+            "(flamegraph.pl / speedscope input)",
+        )
+        _add_baseline(sub)
+    service = _command(
+        benches, "service", "the daemon storm benchmark (p99 + cache hits)",
+        _cmd_profile_service,
+    )
+    _add_counts(
+        service,
+        ("--requests", 64, "storm requests"),
+        ("--concurrency", 8, "concurrent client connections"),
+        ("--distinct", 4, "distinct request bodies"),
+    )
+    _add_seed(service, "request population")
+    _add_baseline(service)
+    sweep = _command(
+        benches, "sweep", "the design-space throughput gate",
+        _cmd_profile_sweep,
+    )
+    _add_counts(sweep, ("--jobs", 1, "fork workers for the sweep"))
+    _add_baseline(sweep)
+
+
+def _add_tools(commands) -> None:
+    """The obs, trend, sweep, serve-bench, loadgen and service commands."""
+    obs = commands.add_parser(
+        "obs", help="export or serve a run directory's event streams"
+    )
+    actions = obs.add_subparsers(dest="action", metavar="ACTION", required=True)
+    export = _command(
+        actions, "export", "Perfetto timeline of a campaign, sweep or "
+        "service state directory", _entry,
+    )
+    _add_rundir(export, "directory to export")
+    export.add_argument(
+        "--out", metavar="PATH",
+        help="write the trace JSON here instead of stdout",
+    )
+    serve = _command(
+        actions, "serve", "OpenMetrics exporter for a run directory",
+        _entry,
+    )
+    _add_rundir(serve, "directory to serve")
+    serve.add_argument(
+        "--port", type=_PORT, default=0, metavar="N",
+        help="TCP port to bind (default: %(default)s, ephemeral)",
+    )
+    trend = _command(commands, "trend", "cross-run perf analytics", _entry)
+    trend.add_argument(
+        "baselines", nargs="+", metavar="BASELINE",
+        help="baseline snapshots (BENCH_*.json), oldest first",
+    )
+    sweep = _command(
+        commands, "sweep", "design-space sweep through the batch engine",
+        _entry,
+    )
+    sweep.add_argument(
+        "spec", help="builtin sweep spec name (smoke, ci, million, "
+        "bude-tune, mix) or a JSON spec file",
+    )
+    sweep.add_argument(
+        "--dir", metavar="DIR",
+        help="write sweep.json and topk.ndjson here",
+    )
+    _add_counts(
+        sweep,
+        ("--top-k", 16, "result rows to keep and rank"),
+        ("--chunk", 262_144, "points per evaluation chunk; bounds memory "
+         "and sets the sharding granularity"),
+        ("--jobs", 1, "fork workers sharing the evaluation chunks"),
+    )
+    sweep.add_argument(
+        "--ndjson", action="store_true",
+        help="also write every evaluated point to results.ndjson "
+        "(one JSON object per line)",
+    )
+    sweep.add_argument(
+        "--verify", type=_AT_LEAST_0, default=64, metavar="N",
+        help="sampled points re-evaluated through the scalar golden "
+        "reference, which must agree bit for bit (default: %(default)s; "
+        "0 disables)",
+    )
+    serve_bench = _command(
+        commands, "serve-bench", "serve the reproduction as a daemon "
+        "(SIGTERM drains)", _entry,
+    )
+    serve_bench.add_argument(
+        "--dir", metavar="DIR", help="service state directory (required)"
+    )
+    serve_bench.add_argument(
+        "--port", type=_PORT, default=0, metavar="N",
+        help="TCP port to bind (default: %(default)s, ephemeral)",
+    )
+    _add_counts(serve_bench, (
+        "--workers", 4, "executor threads pulling from the admission queue"
+    ))
+    serve_bench.add_argument(
+        "--slo-latency", type=_POSITIVE, default=5.0, metavar="SECONDS",
+        help="SLO latency objective: a request slower than this counts "
+        "against availability (default: %(default)s)",
+    )
+    serve_bench.add_argument(
+        "--slo-availability", type=_FRACTION, default=0.99,
+        metavar="FRACTION",
+        help="SLO availability objective in (0, 1) (default: %(default)s)",
+    )
+    loadgen = _command(
+        commands, "loadgen", "fire a request population at a daemon",
+        _entry,
+    )
+    loadgen.add_argument(
+        "--port", type=_PORT, metavar="N",
+        help="the daemon port to target (required)",
+    )
+    loadgen.add_argument(
+        "--host", default="127.0.0.1",
+        help="daemon host to target (default: %(default)s)",
+    )
+    _add_counts(
+        loadgen,
+        ("--requests", 200, "total requests to fire"),
+        ("--concurrency", 16, "concurrent client connections"),
+        ("--distinct", 1, "distinct request bodies in the population "
+         "(1 is maximal cache pressure)"),
+        ("--tenants", 4, "tenants to spread the population over"),
+    )
+    _add_seed(loadgen, "request population")
+    loadgen.add_argument(
+        "--deadline", type=_POSITIVE, metavar="SECONDS",
+        help="per-request deadline sent with every request",
+    )
+    service = commands.add_parser("service", help="service observability")
+    actions = service.add_subparsers(
+        dest="action", metavar="ACTION", required=True
+    )
+    watch = _command(
+        actions, "watch", "live (--port) or offline (DIR) service board",
+        _entry,
+    )
+    _add_rundir(watch, "service state directory to fold offline").add_argument(
+        "--port", type=_PORT, metavar="N", help="live daemon port to scrape"
+    )
+    watch.add_argument(
+        "--host", default="127.0.0.1",
+        help="live daemon host (default: %(default)s)",
+    )
+    _add_follow(watch, "service")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``pvc-bench`` grammar, one subparser per command family.
+
+    A command accepts exactly the flags its handler reads; each flag's
+    range and default are written here once.  Building the parser
+    imports no subsystem, and parsing runs nothing.
+    """
     parser = argparse.ArgumentParser(
         prog="pvc-bench",
         description="Regenerate the paper's tables and figures on the "
         "simulated substrate.",
+        epilog="Run 'pvc-bench COMMAND --help' for the flags a command "
+        "accepts.",
     )
-    parser.add_argument(
-        "command",
-        choices=sorted(_COMMANDS)
-        + sorted(_CTX_COMMANDS)
-        + sorted(_TELEMETRY_COMMANDS)
-        + ["campaign", "loadgen", "obs", "profile", "serve-bench",
-           "service", "sweep", "trend"],
+    commands = parser.add_subparsers(
+        dest="command", metavar="COMMAND", required=True
     )
-    parser.add_argument(
-        "bench",
-        nargs="?",
-        default="gemm",
-        help="benchmark for trace/metrics/profile "
-        f"({', '.join(_TELEMETRY_BENCHES)}; default: gemm; profile also "
-        "accepts 'smoke', 'full' — the campaign wall-clock/sim-cache "
-        "benchmark matrix — 'service' — the daemon storm benchmark — "
-        "and 'sweep' — the design-space throughput gate), the campaign "
-        "action (run, resume, status, verify, watch), the obs action "
-        "(export, serve), the service action (watch), the sweep spec "
-        "name or JSON file for 'sweep', or the first baseline file for "
-        "trend",
-    )
-    parser.add_argument(
-        "extra",
-        nargs="*",
-        default=[],
-        help="trailing positionals: the run directory for "
-        "'campaign watch' / 'obs export' / 'obs serve', or further "
-        "baseline files for 'trend'",
-    )
-    parser.add_argument(
-        "--inject",
-        metavar="SCENARIO",
-        default=None,
-        help="inject a deterministic fault scenario "
-        f"({', '.join(SCENARIO_NAMES)}; campaign run also accepts "
-        f"{', '.join(CAMPAIGN_SCENARIO_NAMES)} and the process-level "
-        f"{', '.join(WORKER_SCENARIO_NAMES)})",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for the fault schedule (default: 0)",
-    )
-    parser.add_argument(
-        "--system",
-        default="aurora",
-        help="system for trace/metrics runs (default: aurora)",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="write the Perfetto trace JSON here instead of stdout",
-    )
-    parser.add_argument(
-        "--manifest",
-        metavar="PATH",
-        default=None,
-        help="also write a run manifest (config + metrics + provenance)",
-    )
-    parser.add_argument(
-        "--dir",
-        metavar="DIR",
-        default=None,
-        help="campaign directory (journal, result store, artifacts)",
-    )
-    parser.add_argument(
-        "--spec",
-        default="paper",
-        choices=sorted(SPEC_NAMES),
-        help="campaign spec for 'campaign run' (default: paper)",
-    )
-    parser.add_argument(
-        "--unit-timeout",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="per-unit simulated-clock watchdog: units that consume more "
-        "simulated seconds are demoted to FAILED",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="campaign deadline on the simulated clock: scheduling stops "
-        "once exceeded and the run exits resumable (code 3)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        default=None,
-        help="campaign run/resume: execute independent units on N worker "
-        "processes (artifacts stay byte-identical to a serial run); "
-        "defaults to $CAMPAIGN_JOBS, else 1 (serial); sweep: shard "
-        "evaluation chunks across N fork workers",
-    )
-    parser.add_argument(
-        "--max-respawns",
-        type=int,
-        metavar="N",
-        default=None,
-        help="campaign run/resume with --jobs > 1: worker respawn budget "
-        "before the scheduler degrades to in-process draining "
-        "(default: 8)",
-    )
-    parser.add_argument(
-        "--hang-timeout",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="campaign run/resume with --jobs > 1: SIGKILL a worker whose "
-        "unit produces no heartbeat for this long and treat it as a "
-        "crash (default: disabled, except under --inject worker-hang)",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="attach the API profiler to this run; manifests and campaign "
-        "results gain a profile digest",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="profile: compare against this baseline snapshot; a "
-        "regression beyond tolerance exits non-zero",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        default=None,
-        help="profile: write the run's snapshot as a new baseline",
-    )
-    parser.add_argument(
-        "--flamegraph",
-        metavar="PATH",
-        default=None,
-        help="profile: export a deterministic collapsed-stack file "
-        "(flamegraph.pl / speedscope input)",
-    )
-    parser.add_argument(
-        "--top-k",
-        type=int,
-        metavar="N",
-        default=None,
-        help="sweep: result rows to keep and rank (default: 16)",
-    )
-    parser.add_argument(
-        "--chunk",
-        type=int,
-        metavar="POINTS",
-        default=None,
-        help="sweep: points per evaluation chunk — bounds memory and "
-        "sets the sharding granularity (default: 262144)",
-    )
-    parser.add_argument(
-        "--ndjson",
-        action="store_true",
-        help="sweep: also write every evaluated point to results.ndjson "
-        "(one JSON object per line)",
-    )
-    parser.add_argument(
-        "--verify",
-        type=int,
-        metavar="N",
-        default=None,
-        help="sweep: sampled points re-evaluated through the scalar "
-        "golden reference, which must agree bit for bit (default: 64; "
-        "0 disables)",
-    )
-    parser.add_argument(
-        "--once",
-        action="store_true",
-        help="campaign watch: render one snapshot and exit instead of "
-        "following the run",
-    )
-    parser.add_argument(
-        "--interval",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="campaign watch: poll interval (default: 0.5)",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        metavar="N",
-        default=None,
-        help="obs serve / serve-bench: TCP port to bind (default: "
-        "ephemeral); loadgen: the daemon port to target (required)",
-    )
-    parser.add_argument(
-        "--host",
-        default=None,
-        metavar="HOST",
-        help="loadgen: daemon host to target (default: 127.0.0.1)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        default=None,
-        help="serve-bench: executor threads pulling from the admission "
-        "queue (default: 4)",
-    )
-    parser.add_argument(
-        "--requests",
-        type=int,
-        metavar="N",
-        default=None,
-        help="loadgen: total requests to fire (default: 200)",
-    )
-    parser.add_argument(
-        "--concurrency",
-        type=int,
-        metavar="N",
-        default=None,
-        help="loadgen: concurrent client connections (default: 16)",
-    )
-    parser.add_argument(
-        "--distinct",
-        type=int,
-        metavar="N",
-        default=None,
-        help="loadgen: distinct request bodies in the population "
-        "(default: 1 — maximal cache pressure)",
-    )
-    parser.add_argument(
-        "--tenants",
-        type=int,
-        metavar="N",
-        default=None,
-        help="loadgen: tenants to spread the request population over "
-        "(default: 4)",
-    )
-    parser.add_argument(
-        "--slo-latency",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="serve-bench: SLO latency objective — a request slower than "
-        "this counts against availability (default: 5.0)",
-    )
-    parser.add_argument(
-        "--slo-availability",
-        type=float,
-        metavar="FRACTION",
-        default=None,
-        help="serve-bench: SLO availability objective in (0, 1] "
-        "(default: 0.99)",
-    )
-    args = parser.parse_args(argv)
-    needs_telemetry = (
-        args.command in _TELEMETRY_COMMANDS
-        or args.command == "health"
-        or args.manifest is not None
-        or args.profile
-    )
-    if needs_telemetry:
-        from .telemetry import Telemetry
-
-        telemetry = Telemetry(profile=args.profile)
-    else:
-        telemetry = None
-    try:
-        name = args.command
-        if name == "profile":
-            name = f"profile {args.bench}"
-        if args.inject is not None and name in _IGNORES_INJECT:
-            check_scenario(args.inject)
-            print(f"pvc-bench: note: {name} ignores --inject", file=sys.stderr)
-        if args.command == "profile":
-            return _cmd_profile(args)
-        if args.command == "campaign":
-            from .campaign.orchestrator import campaign_main
-
-            return campaign_main(args)
-        if args.command == "serve-bench":
-            from .service.daemon import serve_bench_main
-
-            return serve_bench_main(args)
-        if args.command == "loadgen":
-            from .service.loadgen import loadgen_main
-
-            return loadgen_main(args)
-        if args.command == "obs":
-            from .errors import CampaignError
-            from .obs.export import export_main
-            from .obs.serve import serve_main
-
-            if args.bench == "export":
-                return export_main(args)
-            if args.bench == "serve":
-                return serve_main(args)
-            raise CampaignError(
-                f"unknown obs action {args.bench!r}; "
-                "choose from: export, serve"
+    for name, (body, injects, text) in _CONTEXT_COMMANDS.items():
+        sub = _command(commands, name, text, _run_in_context)
+        sub.set_defaults(body=body)
+        if name in ("trace", "metrics"):
+            sub.add_argument(
+                "benchmark", nargs="?", default="gemm", metavar="BENCH",
+                help=f"{', '.join(_TELEMETRY_BENCHES)} "
+                "(default: %(default)s)",
             )
-        if args.command == "service":
-            from .errors import CampaignError
-            from .obs.watch import service_watch_main
-
-            if args.bench == "watch":
-                return service_watch_main(args)
-            raise CampaignError(
-                f"unknown service action {args.bench!r}; choose from: watch"
+            sub.add_argument(
+                "--system", default="aurora",
+                help="system to run on (default: %(default)s)",
             )
-        if args.command == "sweep":
-            from .sweep.runner import sweep_main
-
-            return sweep_main(args)
-        if args.command == "trend":
-            from .obs.trend import trend_main
-
-            return trend_main(args)
-        from .faults import ExecutionContext
-
-        ctx = ExecutionContext(args.inject, args.seed, telemetry=telemetry)
-        if args.command in _TELEMETRY_COMMANDS:
-            _TELEMETRY_COMMANDS[args.command](ctx, args)
-        elif args.command in _CTX_COMMANDS:
-            _CTX_COMMANDS[args.command](ctx)
+        if name == "trace":
+            sub.add_argument(
+                "--out", metavar="PATH",
+                help="write the Perfetto trace JSON here instead of stdout",
+            )
+        if injects:
+            _add_inject(sub, ", ".join(SCENARIO_NAMES))
         else:
-            if ctx.active:
-                print(
-                    f"pvc-bench: note: {args.command} ignores --inject",
-                    file=sys.stderr,
-                )
-            _COMMANDS[args.command]()
-        if args.manifest is not None:
-            from .telemetry.manifest import write_manifest
+            sub.set_defaults(inject=None, seed=0)
+        _add_manifest(sub)
+        sub.add_argument(
+            "--profile", action="store_true",
+            help="attach the API profiler; the manifest gains a profile "
+            "digest",
+        )
+    _add_profile(commands)
+    _add_campaign(commands)
+    _add_tools(commands)
+    return parser
 
-            write_manifest(args.manifest, ctx.manifest(args.command))
-            print(f"manifest written to {args.manifest}", file=sys.stderr)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.run(args)
     except KeyboardInterrupt:
         print("pvc-bench: interrupted (resumable state flushed)", file=sys.stderr)
         return int(ExitCode.INTERRUPTED)
     except ReproError as exc:
         print(f"pvc-bench: {type(exc).__name__}: {exc}", file=sys.stderr)
         return int(classify_error(exc))
-    return ctx.exit_code()
 
 
 if __name__ == "__main__":  # pragma: no cover

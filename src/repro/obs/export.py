@@ -428,7 +428,7 @@ def run_registry(rundir: str | os.PathLike) -> MetricsRegistry:
 
 def export_main(args) -> int:
     """Dispatch ``pvc-bench obs export <rundir> [--out trace.json]``."""
-    rundir = args.dir or (args.extra[0] if getattr(args, "extra", None) else None)
+    rundir = args.dir
     if not rundir:
         raise CampaignError(
             "obs export needs a run directory "

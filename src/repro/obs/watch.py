@@ -369,18 +369,14 @@ def follow(
 
 def watch_main(args) -> int:
     """Dispatch ``pvc-bench campaign watch <rundir>``."""
-    rundir = args.dir or (args.extra[0] if getattr(args, "extra", None) else None)
+    rundir = args.dir
     if not rundir:
         raise CampaignError(
             "campaign watch needs a run directory "
             "(positional or --dir <directory>)"
         )
     try:
-        return follow(
-            rundir,
-            interval_s=getattr(args, "interval", None) or 0.5,
-            once=bool(getattr(args, "once", False)),
-        )
+        return follow(rundir, interval_s=args.interval, once=args.once)
     except KeyboardInterrupt:  # pragma: no cover - interactive detach
         print("detached; the campaign keeps running", file=sys.stderr)
         return 0
@@ -661,12 +657,9 @@ def service_watch_main(args) -> int:
     ``GET /board``; with ``--dir`` it is folded offline from the state
     directory's streams (works on a dead or post-mortem directory).
     """
-    port = getattr(args, "port", None)
-    directory = args.dir or (
-        args.extra[0] if getattr(args, "extra", None) else None
-    )
+    port, directory = args.port, args.dir
     if port:
-        host = getattr(args, "host", None) or "127.0.0.1"
+        host = args.host
         label = f"http://{host}:{port}"
         source = lambda: _scrape_board(host, port)  # noqa: E731
     elif directory:
@@ -681,8 +674,8 @@ def service_watch_main(args) -> int:
         return follow_service(
             source,
             label,
-            interval_s=getattr(args, "interval", None) or 0.5,
-            once=bool(getattr(args, "once", False)),
+            interval_s=args.interval,
+            once=args.once,
         )
     except KeyboardInterrupt:  # pragma: no cover - interactive detach
         print("detached; the service keeps running", file=sys.stderr)

@@ -23,6 +23,7 @@ import threading
 from dataclasses import dataclass, field
 
 from ..ioutils import canonical_json, sha256_text
+from ..sim.roofline import RooflinePoint
 
 __all__ = [
     "LAYERS",
@@ -185,12 +186,6 @@ class KernelSample:
             self.memory_s,
             self.latency_s,
         )
-
-
-def _classify(compute_s: float, memory_s: float, latency_s: float) -> str:
-    if latency_s > max(compute_s, memory_s):
-        return "latency"
-    return "compute" if compute_s >= memory_s else "memory"
 
 
 @dataclass
@@ -438,9 +433,9 @@ class ApiProfiler:
         rows = []
         for name, row in acc.items():
             t = row["achieved_s"]
-            bound = _classify(
+            bound = RooflinePoint(
                 row["compute_s"], row["memory_s"], row["latency_s"]
-            )
+            ).bound
             binding_s = {
                 "compute": row["compute_s"],
                 "memory": row["memory_s"],

@@ -25,7 +25,7 @@ from .kernel import (
 )
 from .noise import QUIET, NoiseModel
 from .power import EnergyReport, PowerModel
-from .roofline import RooflinePoint, classify, kernel_time
+from .roofline import RooflinePoint, kernel_time
 from .transfer import TransferModel
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "EnergyReport",
     "PowerModel",
     "RooflinePoint",
-    "classify",
     "kernel_time",
     "TransferModel",
 ]

@@ -43,20 +43,15 @@ from ..dtypes import ENGINE_MATRIX, Precision
 from ..errors import KernelSpecError
 from ..hw.frequency import WorkloadKind
 from .kernel import KernelSpec
-from .roofline import RooflinePoint
+from .roofline import BOUND_LABELS, RooflinePoint
 
 __all__ = [
     "KernelBatch",
     "BatchResult",
     "BatchEngine",
-    "BOUND_LABELS",
     "PRECISION_CODES",
     "KIND_CODES",
 ]
-
-#: Bound regime per code — matches the engine's ``_REGIME_CODE`` gauge
-#: encoding (0 = latency, 1 = memory, 2 = compute).
-BOUND_LABELS: tuple[str, ...] = ("latency", "memory", "compute")
 
 #: Stable integer code per precision (-1 encodes "no precision", the
 #: pure-data-movement case, which the engine treats as FP32 for rates).

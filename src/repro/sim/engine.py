@@ -30,7 +30,7 @@ from .calibration import SystemCalibration, get_calibration
 from .kernel import KernelSpec
 from .memo import MemoCache, content_digest
 from .noise import NoiseModel, QUIET
-from .roofline import RooflinePoint, kernel_time
+from .roofline import BOUND_CODES, RooflinePoint, kernel_time
 from .transfer import TransferModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["PerfEngine"]
 
 #: Numeric encoding of the roofline regime for the gauge exporter.
-_REGIME_CODE = {"latency": 0.0, "memory": 1.0, "compute": 2.0}
+_REGIME_CODE = {label: float(code) for label, code in BOUND_CODES.items()}
 
 
 class PerfEngine:

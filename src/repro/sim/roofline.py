@@ -14,7 +14,12 @@ from dataclasses import dataclass
 
 from .kernel import KernelSpec
 
-__all__ = ["RooflinePoint", "kernel_time", "classify"]
+__all__ = ["BOUND_CODES", "BOUND_LABELS", "RooflinePoint", "kernel_time"]
+
+#: Bound regime per integer code: the batch engine's ``bound_code``
+#: column and the engine's ``roofline.regime`` gauge use these codes.
+BOUND_LABELS: tuple[str, ...] = ("latency", "memory", "compute")
+BOUND_CODES = {label: code for code, label in enumerate(BOUND_LABELS)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,6 +44,7 @@ class RooflinePoint:
 
     @property
     def bound(self) -> str:
+        """The binding regime: the one bound rule every caller uses."""
         if self.latency_s > max(self.compute_s, self.memory_s):
             return "latency"
         return "compute" if self.compute_s >= self.memory_s else "memory"
@@ -70,15 +76,3 @@ def kernel_time(
         compute_s, memory_s, latency_s,
         compute_rate=compute_rate, mem_bw=mem_bw,
     )
-
-
-def classify(
-    spec: KernelSpec, compute_rate: float, mem_bw: float
-) -> str:
-    """Which side of the roofline ridge the kernel sits on.
-
-    Returns ``"compute"`` or ``"memory"``; the ridge is at arithmetic
-    intensity ``compute_rate / mem_bw`` flops per byte.
-    """
-    ridge = compute_rate / mem_bw
-    return "compute" if spec.arithmetic_intensity >= ridge else "memory"

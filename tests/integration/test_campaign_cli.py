@@ -48,7 +48,12 @@ class TestCampaignRun:
         assert "--dir" in capsys.readouterr().err
 
     def test_unknown_action_fails_unhealthy(self, tmp_path, capsys):
-        assert _run("campaign", "dance", "--dir", str(tmp_path)) == 2
+        # The parser rejects it: a usage error, exit 2, nothing runs.
+        with pytest.raises(SystemExit) as exc:
+            _run("campaign", "dance", "--dir", str(tmp_path))
+        assert exc.value.code == 2
+        assert "invalid choice: 'dance'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_scenario_fails_unhealthy(self, tmp_path, capsys):
         rc = _run(

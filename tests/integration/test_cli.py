@@ -1,10 +1,14 @@
-"""CLI smoke tests (every subcommand)."""
+"""CLI smoke tests (every subcommand) and the grammar's strictness."""
 
+import glob
 import importlib
+import os
+import re
+import shlex
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 class TestCli:
@@ -75,6 +79,67 @@ _CONTEXT_FREE = [
 ]
 
 
+def _stub(monkeypatch, module, entry):
+    """Replace ``module.entry`` by a recorder; returns its call list."""
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append(args)
+        return [] if entry.endswith("_entries") else 0
+
+    monkeypatch.setattr(importlib.import_module(module), entry, stub)
+    return calls
+
+
+def _usage_error(argv, capsys) -> str:
+    """Parse *argv*; it must be a usage error.  Returns stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    return err
+
+
+#: Invocations the grammar rejects, each with the entry point it would
+#: otherwise reach: a flag the command does not read, a stray
+#: positional, an out-of-range value, or a run directory given twice.
+_REJECTED = [
+    (["systems", "--jobs", "4", "--port", "9", "--slo-availability", "2.0"],
+     "repro.hw.systems", "all_systems"),
+    (["table1", "bogus", "x", "y"], "repro.analysis", "render_bench"),
+    (["table2", "--jobs", "-3"], "repro.analysis", "render_bench"),
+    (["campaign", "status", "--dir", "D", "--interval", "-1"],
+     "repro.campaign.orchestrator", "campaign_main"),
+    (["sweep", "ci", "--chunk", "0"], "repro.sweep.runner", "sweep_main"),
+    (["sweep", "ci", "--top-k", "0"], "repro.sweep.runner", "sweep_main"),
+    (["sweep", "ci", "--jobs", "0"], "repro.sweep.runner", "sweep_main"),
+    (["serve-bench", "--slo-availability", "0"],
+     "repro.service.daemon", "serve_bench_main"),
+    (["serve-bench", "--slo-availability", "1.0"],
+     "repro.service.daemon", "serve_bench_main"),
+    (["serve-bench", "--slo-availability", "2.0"],
+     "repro.service.daemon", "serve_bench_main"),
+    (["campaign", "watch", "A", "--dir", "B"], "repro.obs.watch", "watch_main"),
+    (["table2", "--inject", "device-loss", "--jobs", "2"],
+     "repro.analysis", "render_bench"),
+    (["profile", "smoke", "--manifest", "m.json"],
+     "repro.profiler.driver", "profile_smoke_set"),
+]
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize(
+        "argv, module, entry", _REJECTED, ids=[" ".join(r[0]) for r in _REJECTED]
+    )
+    def test_usage_error_runs_nothing(
+        self, argv, module, entry, monkeypatch, capsys
+    ):
+        calls = _stub(monkeypatch, module, entry)
+        _usage_error(argv, capsys)
+        assert calls == []
+
+
 class TestFaultInjectionCli:
     @pytest.mark.parametrize(
         "argv, module, entry",
@@ -85,25 +150,15 @@ class TestFaultInjectionCli:
     def test_context_free_command_checks_inject(
         self, argv, module, entry, monkeypatch, capsys
     ):
-        calls = []
-
-        def stub(*args, **kwargs):
-            calls.append(args)
-            return [] if entry.endswith("_entries") else 0
-
-        monkeypatch.setattr(importlib.import_module(module), entry, stub)
-        # An unknown scenario is a usage error; the command never runs.
-        assert main(argv + ["--inject", "bogus"]) == 2
-        assert capsys.readouterr().err.startswith(
-            "pvc-bench: ScenarioError: unknown fault scenario 'bogus'"
-        )
+        calls = _stub(monkeypatch, module, entry)
+        # --inject is not in these commands' grammar: a usage error for
+        # an unknown scenario and a valid one alike; the command never runs.
+        for scenario in ("bogus", "device-loss"):
+            err = _usage_error(argv + ["--inject", scenario], capsys)
+            assert "unrecognized arguments: --inject" in err
         assert calls == []
-        # A valid one runs the command, with a note that it is ignored.
-        assert main(argv + ["--inject", "device-loss"]) == 0
-        name = " ".join(argv) if argv[0] == "profile" else argv[0]
-        assert capsys.readouterr().err.splitlines()[0] == (
-            f"pvc-bench: note: {name} ignores --inject"
-        )
+        # Without it the command runs.
+        assert main(argv) == 0
         assert len(calls) == 1
 
     def test_device_loss_degrades_but_completes(self, capsys):
@@ -163,7 +218,109 @@ class TestFaultInjectionCli:
         assert "verdict: DEGRADED" in out
         assert "fault history" in out
 
-    def test_inject_ignored_command_warns(self, capsys):
-        assert main(["table4", "--inject", "throttle"]) == 0
-        captured = capsys.readouterr()
-        assert "ignores --inject" in captured.err
+    def test_inject_rejected_where_unused(self, capsys):
+        # table4 renders no faultable cell, so it takes no --inject.
+        err = _usage_error(["table4", "--inject", "throttle"], capsys)
+        assert "unrecognized arguments: --inject throttle" in err
+
+
+_ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
+
+#: Where ``pvc-bench`` invocations are quoted: the README, CI, the
+#: verify notes (``SKILL.md``) and every page under ``docs/``.
+_DOCUMENTED = (
+    ["README.md", ".github/workflows/ci.yml"]
+    + sorted(
+        os.path.relpath(path, _ROOT)
+        for pattern in (".*/skills/verify/SKILL.md", "docs/*.md")
+        for path in glob.glob(os.path.join(_ROOT, pattern))
+    )
+)
+
+#: An invocation's argument text: ``pvc-bench ARGS`` at the start of a
+#: command (after ``run:``, ``!`` or ``VAR=value`` prefixes), or
+#: ``python ... -m repro.cli ARGS`` anywhere.
+_INVOCATION = re.compile(
+    r"^(?:run:\s*|!\s*|\w+=\S*\s+)*pvc-bench\s+(.*)$|-m\s+repro\.cli\s+(.*)$",
+    re.S,
+)
+
+#: Shell tokens that end an invocation's arguments.
+_SHELL_STOP = re.compile(r"^(?:\||\|\||&&?|;|\)|[0-9]?>.*|<.*|\$\(.*)$")
+
+
+def _commands(rel, text):
+    """``(line, text)`` of every command a document shows.
+
+    Markdown: each code-block line (backslash continuations joined) and
+    each inline code span.  CI: each script line, continuations joined.
+    """
+    lines = text.split("\n")
+    if rel.endswith(".md"):
+        code, prose, fenced = [], [], False
+        for line in lines:
+            fence = line.lstrip().startswith("```")
+            fenced ^= fence
+            code.append(line if fenced and not fence else "")
+            prose.append("" if fenced or fence else line)
+        prose_text = "\n".join(prose)
+        for span in re.finditer(r"`([^`]+)`", prose_text):
+            lineno = prose_text.count("\n", 0, span.start()) + 1
+            yield lineno, " ".join(span.group(1).split())
+        lines = code
+    start, logical = None, ""
+    for lineno, line in enumerate(lines, start=1):
+        start = start or lineno
+        if line.endswith("\\"):
+            logical += line[:-1] + " "
+            continue
+        yield start, logical + line
+        start, logical = None, ""
+
+
+def _documented_invocations():
+    """Every quoted invocation as ``(where, argv)``; argv None if skipped.
+
+    Arguments end at the first shell operator or comment.  A command
+    holding a ``<placeholder>`` or an ellipsis is skipped.
+    """
+    found = []
+    for rel in _DOCUMENTED:
+        with open(os.path.join(_ROOT, rel), encoding="utf-8") as fh:
+            text = fh.read()
+        for lineno, command in _commands(rel, text):
+            match = _INVOCATION.search(command.strip())
+            if match is None:
+                continue
+            rest = match.group(1) or match.group(2)
+            if re.search(r"<[A-Za-z][\w.-]*>|…", command):
+                found.append((f"{rel}:{lineno}", None))
+                continue
+            argv = []
+            for token in shlex.split(rest, comments=True):
+                if _SHELL_STOP.match(token):
+                    break
+                argv.append(token)
+            found.append((f"{rel}:{lineno}", argv))
+    return found
+
+
+class TestDocumentedInvocations:
+    def test_every_documented_invocation_parses(self, capsys):
+        parsed = skipped = 0
+        for where, argv in _documented_invocations():
+            if argv is None:
+                skipped += 1
+                continue
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit as exc:  # --help exits 0 once parsed
+                if exc.code != 0:
+                    pytest.fail(f"{where}: pvc-bench {shlex.join(argv)} "
+                                f"does not parse:\n{capsys.readouterr().err}")
+            parsed += 1
+        # A placeholder line is a deliberate skip: count them, so a new
+        # skip is noticed, and make sure the collector found the rest.
+        assert (parsed, skipped) == (182, 14)

@@ -1,9 +1,10 @@
 """The parser's output, pinned byte for byte.
 
-``cli_golden.json`` holds the ``--help`` text and three usage errors as
-they were before the parser stopped importing the subsystems whose names
-it offers (``repro.names``).  A scenario or spec name that drifts from
-the parser changes one of these outputs.
+``cli_golden.json`` holds the top-level ``--help`` text, the ``--help``
+of ``table2`` and ``campaign run`` (which offer the fault-scenario and
+campaign-spec names from ``repro.names``), and three usage errors.  A
+flag, scenario or spec name that drifts from the grammar changes one of
+these outputs.
 """
 
 from __future__ import annotations

@@ -175,21 +175,15 @@ class TestFollow:
         assert "waiting for a campaign journal" in out.getvalue()
 
     def test_watch_main_positional_rundir(self, tmp_path, capsys):
+        from repro.cli import main
+
         _run(tmp_path / "run", jobs=1)
-
-        class Args:
-            dir = None
-            extra = [str(tmp_path / "run")]
-            once = True
-            interval = None
-
-        assert watch_main(Args()) == 0
+        assert main(["campaign", "watch", str(tmp_path / "run"), "--once"]) == 0
         assert "COMPLETE" in capsys.readouterr().out
 
     def test_watch_main_requires_a_rundir(self):
         class Args:
             dir = None
-            extra = []
 
         with pytest.raises(CampaignError):
             watch_main(Args())

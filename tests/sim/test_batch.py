@@ -15,12 +15,9 @@ from repro.dtypes import Precision
 from repro.errors import KernelSpecError
 from repro.hw.frequency import WorkloadKind
 from repro.hw.systems import get_system
-from repro.sim.batch import (
-    BOUND_LABELS,
-    BatchEngine,
-    KernelBatch,
-)
+from repro.sim.batch import BatchEngine, KernelBatch
 from repro.sim.engine import PerfEngine
+from repro.sim.roofline import BOUND_LABELS
 from repro.sim.kernel import (
     fma_chain_kernel,
     gemm_kernel,

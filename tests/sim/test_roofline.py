@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.kernel import KernelSpec
-from repro.sim.roofline import classify, kernel_time
+from repro.sim.roofline import RooflinePoint, kernel_time
 
 
 def _spec(flops=0.0, rbytes=0.0, wbytes=0.0, chases=0):
@@ -46,8 +46,13 @@ class TestKernelTime:
             kernel_time(_spec(flops=1.0), 1.0, -1.0)
 
 
-class TestClassify:
-    def test_ridge_point(self):
-        # Ridge at 10 flops/byte: intensity 20 -> compute, 5 -> memory.
-        assert classify(_spec(flops=20.0, rbytes=1.0), 100.0, 10.0) == "compute"
-        assert classify(_spec(flops=5.0, rbytes=1.0), 100.0, 10.0) == "memory"
+class TestBoundRule:
+    def test_ties_resolve_as_the_one_rule_says(self):
+        assert RooflinePoint(1.0, 1.0, 0.0).bound == "compute"
+        assert RooflinePoint(1.0, 2.0, 2.0).bound == "memory"
+        assert RooflinePoint(1.0, 2.0, 2.5).bound == "latency"
+
+    def test_regime_gauge_keeps_its_codes(self):
+        from repro.sim.engine import _REGIME_CODE
+
+        assert _REGIME_CODE == {"latency": 0.0, "memory": 1.0, "compute": 2.0}
